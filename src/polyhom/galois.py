@@ -100,7 +100,7 @@ def tau_extension_map(tau, b, size):
     return PartialOpMap(len(tau), size, tuple(zip(rows, b)))
 
 
-def gamma_closure(structure, tau, limits=None, known=()):
+def gamma_closure(structure, tau, limits=None):
     """Images of tau under arity-|tau| polymorphisms, certified per
     candidate. Raises EnvelopeError when a candidate cannot be settled
     within the budget, rather than returning an uncertified set."""
@@ -109,7 +109,7 @@ def gamma_closure(structure, tau, limits=None, known=()):
     out = []
     for b in qf_type_closure(structure, tau):
         f = tau_extension_map(tau, b, structure.size)
-        res = extendable(structure, f, limits, known=known)
+        res = extendable(structure, f, limits)
         if res.exhausted:
             raise EnvelopeError(
                 "image closure candidate %r exhausted the search budget"

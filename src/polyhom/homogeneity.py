@@ -15,25 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .structures import (EnvelopeError, FiniteStructure, PartialOpMap,
-                         PowerHandle, StructureError, power, reduce_columns,
+from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
+                         StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import (ExtensionProblem, SearchLimits, check_is_homomorphism,
-                     default_limits, enumerate_solutions, solve, MAX_CSP_VARS)
+from .search import ExtensionProblem, default_limits, solve, MAX_CSP_VARS
 
-# closure fast path: how many derived vectors to keep before falling back
-# to the extension CSP
-CLOSURE_CAP = 4096
-# run the closure fast path only when the whole vector space is this small
-# (or when the CSP is out of reach and the closure is the only route)
-SMALL_VECTOR_SPACE = 4096
-# generator enumeration caps for the closure fast path
-ENDO_ENUM_CAP = 1 << 15
-BINPOL_ENUM_CAP = 1 << 15
 # row-selection cap for the partial polymorphism check
 PP_COMBO_CAP = 2_000_000
 # pattern search caps for the one-point counterexample search
@@ -179,31 +168,6 @@ def is_partial_polymorphism(structure, f):
     return True, None
 
 
-@lru_cache(maxsize=128)
-def _endomorphism_tables(structure):
-    """Unary polymorphism tables, engine-enumerated and re-verified."""
-    sols, complete = enumerate_solutions(
-        ExtensionProblem(structure, structure), cap=ENDO_ENUM_CAP,
-        limits=SearchLimits(node_budget=10_000_000))
-    tables = tuple(tuple(s[i] for i in range(structure.size)) for s in sols)
-    return tables, complete
-
-
-@lru_cache(maxsize=64)
-def _binary_polymorphism_tables(structure):
-    """Binary polymorphism tables for small carriers (value lists indexed
-    by a*n+b); empty when the carrier is too large to enumerate."""
-    n = structure.size
-    if n > 3:
-        return (), False
-    handle = power(structure, 2)
-    sols, complete = enumerate_solutions(
-        ExtensionProblem(handle, structure), cap=BINPOL_ENUM_CAP,
-        limits=SearchLimits(node_budget=10_000_000))
-    tables = tuple(tuple(s[i] for i in range(n * n)) for s in sols)
-    return tables, complete
-
-
 @dataclass
 class ExtendResult:
     """Outcome of one extendability question."""
@@ -231,114 +195,16 @@ class ExtendResult:
         return out
 
 
-def _closure_search(n, ops, gens, target):
-    """Close generator vectors under coordinatewise polymorphism action.
-
-    gens are vectors in A^p; ops are (arity, table) pairs of verified
-    polymorphism tables. Returns (term, stats) with the term over variables
-    x_i = gens[i] deriving target, or (None, stats)."""
-    derivation = {}
-    order = []
-    for i, g in enumerate(gens):
-        if g not in derivation:
-            derivation[g] = ("x", i)
-            order.append(g)
-    if target in derivation:
-        return _expand_term(target, derivation), {"closure_size": len(order)}
-
-    frontier = list(order)
-    while frontier and len(order) < CLOSURE_CAP:
-        new = []
-        for oi, (arity, table) in enumerate(ops):
-            if arity == 1:
-                pool = frontier
-                for v in pool:
-                    img = tuple(table[c] for c in v)
-                    if img not in derivation:
-                        derivation[img] = ("app", oi, (v,))
-                        new.append(img)
-                        if img == target:
-                            order.extend(new)
-                            return (_expand_term(target, derivation),
-                                    {"closure_size": len(order)})
-            elif arity == 2:
-                for v in frontier:
-                    for w in order:
-                        for a, b in ((v, w), (w, v)):
-                            img = tuple(table[a[i] * n + b[i]]
-                                        for i in range(len(a)))
-                            if img not in derivation:
-                                derivation[img] = ("app", oi, (a, b))
-                                new.append(img)
-                                if img == target:
-                                    order.extend(new)
-                                    return (_expand_term(target, derivation),
-                                            {"closure_size": len(order)})
-            else:
-                # higher arity ops are applied over the whole current set
-                pool = order + new
-                if len(pool) ** arity > 200_000:
-                    continue
-                for combo in itertools.product(pool, repeat=arity):
-                    if not any(c in frontier for c in combo):
-                        continue
-                    code_vecs = zip(*combo)
-                    img = []
-                    for coords in code_vecs:
-                        code = 0
-                        for c in coords:
-                            code = code * n + c
-                        img.append(table[code])
-                    img = tuple(img)
-                    if img not in derivation:
-                        derivation[img] = ("app", oi, combo)
-                        new.append(img)
-                        if img == target:
-                            order.extend(new)
-                            return (_expand_term(target, derivation),
-                                    {"closure_size": len(order)})
-        order.extend(new)
-        frontier = new
-    return None, {"closure_size": len(order),
-                  "closure_capped": len(order) >= CLOSURE_CAP}
-
-
-def _expand_term(vec, derivation):
-    node = derivation[vec]
-    if node[0] == "x":
-        return ("x", node[1])
-    _, oi, parents = node
-    return ("app", oi, tuple(_expand_term(p, derivation) for p in parents))
-
-
-def _closure_ops_list(structure, known):
-    n = structure.size
-    unaries, _ = _endomorphism_tables(structure)
-    binaries, _ = _binary_polymorphism_tables(structure)
-    ops = [(1, t) for t in unaries[:4096]]
-    # very rich binary clones (e.g. no constraints at all) make closure
-    # rounds quadratic in the op count; the unaries carry those cases and
-    # anything missed falls through to the extension CSP
-    if len(binaries) <= 512:
-        ops.extend((2, t) for t in binaries)
-    for ft in known:
-        if ft is None or ft.size != n:
-            continue
-        if n ** ft.arity <= 4096:
-            table = tuple(ft.apply(args) for args in
-                          itertools.product(range(n), repeat=ft.arity))
-            ops.append((ft.arity, table))
-    return ops
-
-
-def extendable(structure, f, limits=None, known=()):
+def extendable(structure, f, limits=None):
     """Does the partial map f extend to a total polymorphism?
 
-    Route: reject non-partial-polymorphisms; detect projections; derive the
-    required image in the closure of the domain columns under known
-    polymorphisms (yielding a term witness); otherwise solve the extension
-    CSP on the power of the reduced arity. A returned witness is always
-    re-verified against f before it is reported.
+    Route: reject non-partial-polymorphisms (with the violated relation);
+    answer maps that agree with a projection; otherwise solve the extension
+    CSP from the l-th power to the structure, where l is the number of
+    distinct domain columns, pinned to f's entries. Raises EnvelopeError
+    when that CSP is out of reach: more than MAX_CSP_VARS variables, or
+    more than 4096 when a relation has arity 3 or more. A returned witness
+    is always re-verified against f before it is reported.
     """
     limits = limits or default_limits()
     ok, violation = is_partial_polymorphism(structure, f)
@@ -365,35 +231,15 @@ def extendable(structure, f, limits=None, known=()):
                 raise RuntimeError("internal error: projection witness "
                                    "fails to extend the map")
             return ExtendResult("extendable", witness, {"route": "projection"})
-    gens = [tuple(r[j] for r in rows) for j in range(g.arity)]
-    target = vals
     n = structure.size
     l = g.arity
-    csp_ok = (n ** l <= MAX_CSP_VARS
-              and (structure.max_arity < 3 or n ** l <= 4096))
-    # the closure pays off when the value-vector space stays tiny (few map
-    # entries); with many entries and a feasible CSP, the CSP wins outright
-    stats = {}
-    if not csp_ok or n ** len(rows) <= SMALL_VECTOR_SPACE:
-        ops = _closure_ops_list(structure, known)
-        term, stats = _closure_search(n, ops, gens, target)
-        if term is not None:
-            lifted = _lift_term_vars(term, kept_first)
-            witness = FunctionTable(f.arity, f.size, "term", (ops, lifted))
-            if not witness.extends(f):
-                raise RuntimeError("internal error: term witness fails to "
-                                   "extend the map")
-            return ExtendResult("extendable", witness,
-                                {"route": "closure", **stats})
-    if not csp_ok:
+    if n ** l > MAX_CSP_VARS or (structure.max_arity >= 3 and n ** l > 4096):
         raise EnvelopeError(
-            "closure search missed and the extension CSP needs %d "
-            "variables" % (n ** l,))
+            "the extension CSP needs %d variables" % (n ** l,))
     handle = power(structure, l)
     pins = {handle.encode(r): g(r) for r in rows}
     out = solve(ExtensionProblem(handle, structure, pins), limits)
-    detail = {"route": "csp", "csp_vars": handle.size, "nodes": out.nodes,
-              **stats}
+    detail = {"route": "csp", "csp_vars": handle.size, "nodes": out.nodes}
     if out.found:
         table = [out.assignment[c] for c in range(handle.size)]
         reduced = FunctionTable(l, f.size, "table", table)
@@ -406,13 +252,6 @@ def extendable(structure, f, limits=None, known=()):
         return ExtendResult("not_extendable", None, detail)
     detail["reason"] = out.reason
     return ExtendResult("exhausted", None, detail)
-
-
-def _lift_term_vars(tree, kept_first):
-    if tree[0] == "x":
-        return ("x", kept_first[tree[1]])
-    return ("app", tree[1],
-            tuple(_lift_term_vars(c, kept_first) for c in tree[2]))
 
 
 def _reindexed_table(reduced, arity, kept_first, size):
@@ -727,7 +566,6 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
         blocked.append({"step": "nu", "arity": nu_arity,
                         "reason": "envelope", "detail": str(e)})
         trace.append({"step": "nu", "arity": nu_arity, "outcome": "blocked"})
-    known = ()
     if nu is not None:
         trace.append({"step": "nu", "arity": nu_arity, "outcome": nu.status,
                       "detail": {k: v for k, v in nu.detail.items()
@@ -740,8 +578,6 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
         if nu.exhausted:
             blocked.append({"step": "nu", "arity": nu_arity,
                             "reason": nu.detail.get("reason", "budget")})
-        else:
-            known = (nu.witness,)
 
     sweep_stats = {"tau_checked": 0, "candidates": 0, "cache_hits": 0}
     for m in range(1, d + 1):
@@ -779,7 +615,7 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
                     f = PartialOpMap(len(tau), n,
                                      tuple(zip(rows, b)))
                     try:
-                        res = extendable(structure, f, limits, known=known)
+                        res = extendable(structure, f, limits)
                     except EnvelopeError as e:
                         blocked.append({"step": "sweep", "m": m,
                                         "tau": [list(t) for t in tau],
@@ -827,8 +663,8 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
     if not blocked:
         cert = {"kind": "sweep_complete", "max_arity_swept": d,
                 "nu_arity": nu_arity, "stats": sweep_stats}
-        if known:
-            cert["nu_witness"] = known[0].to_json()
+        if nu is not None and nu.extendable:
+            cert["nu_witness"] = nu.witness.to_json()
         return Verdict("PH", certificate=cert, trace=trace)
 
     guidance = ("the certified pipeline hit its envelope or budget; "

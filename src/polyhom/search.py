@@ -365,7 +365,9 @@ class _Context:
         return mask
 
 
-@lru_cache(maxsize=64)
+# a context can hold megabytes of indicator arrays; the callers reuse
+# only a few (base, exponent, target) triples at a time
+@lru_cache(maxsize=8)
 def _context(base, exponent, target):
     return _Context(base, exponent, target)
 

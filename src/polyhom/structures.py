@@ -150,40 +150,6 @@ class FiniteStructure:
     def with_name(self, name):
         return replace(self, name=name)
 
-    @cached_property
-    def adjacency(self):
-        """Per binary relation, (row_masks, col_masks) bitsets; size <= 64 only.
-
-        row_masks[a] has bit b set iff (a,b) is in the relation.
-        """
-        out = {}
-        if self.size > 64:
-            return out
-        for rel in self.relations:
-            if rel.arity != 2:
-                continue
-            rows = [0] * self.size
-            cols = [0] * self.size
-            for a, b in rel.tuples:
-                rows[a] |= 1 << b
-                cols[b] |= 1 << a
-            out[rel.name] = (tuple(rows), tuple(cols))
-        return out
-
-    @cached_property
-    def positional_index(self):
-        """Per relation of arity >= 3: {(position, value): [tuples]}."""
-        out = {}
-        for rel in self.relations:
-            if rel.arity < 3:
-                continue
-            index = {}
-            for t in rel.sorted_tuples:
-                for pos, val in enumerate(t):
-                    index.setdefault((pos, val), []).append(t)
-            out[rel.name] = index
-        return out
-
     def elements(self):
         return range(self.size)
 

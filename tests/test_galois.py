@@ -6,8 +6,7 @@ import pytest
 
 from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      check_finite_polylocal, cross_check_inv_pol,
-                     enumerate_polymorphisms, find_nu_polymorphism,
-                     gamma_closure, invariant_relations, is_pp_definable,
+                     enumerate_polymorphisms, gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
 from polyhom.galois import RelationFamily
 from polyhom.generate import all_n2_binary
@@ -185,15 +184,6 @@ def test_gamma_closure_sandwich_idempotent_monotone():
             for extra in points:
                 bigger = set(gamma_closure(structure, tau_set | {extra}))
                 assert gamma <= bigger
-
-
-def test_gamma_closure_known_operations_do_not_change_the_answer():
-    structure = chain2()
-    nu = find_nu_polymorphism(structure, 3)
-    assert nu.extendable
-    plain = set(gamma_closure(structure, [(0, 1)]))
-    seeded = set(gamma_closure(structure, [(0, 1)], known=(nu.witness,)))
-    assert seeded == plain
 
 
 def test_tau_extension_map_rows():

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from polyhom.structures import (FiniteStructure, Relation, PartialOpMap,
-                                canonical_structure, power)
+from polyhom.structures import (EnvelopeError, FiniteStructure, Relation,
+                                PartialOpMap, canonical_structure, power)
 from polyhom.search import SearchLimits, default_limits
 from polyhom.homogeneity import (FunctionTable, is_partial_polymorphism,
                                  extendable, canonical_partial_nu,
                                  find_nu_polymorphism, is_k_ph,
                                  is_hom_homogeneous, decide_ph)
+from polyhom.galois import gamma_closure, qf_type_closure, tau_extension_map
 from polyhom.generate import all_n2_binary, all_graphs
 
 from oracles import (table_apply, oracle_polymorphisms,
@@ -127,16 +128,21 @@ def test_extendable_rejects_non_partial_polymorphism():
     assert res.not_extendable and res.detail["route"] == "rejected"
 
 
-def test_extendable_known_ops_do_not_change_status():
-    A = chain2()
-    limits = default_limits()
-    nu = find_nu_polymorphism(A, 3, limits)
-    assert nu.extendable
-    for entries in oracle_all_partial_maps(2, 2):
-        f = PartialOpMap(2, 2, tuple(entries.items()))
-        a = extendable(A, f, limits)
-        b = extendable(A, f, limits, known=(nu.witness,))
-        assert a.status == b.status
+def test_extendable_out_of_csp_envelope_raises():
+    # a ternary relation caps the extension CSP at 4096 variables; nine
+    # distinct columns on three points need 3^9, so a candidate outside tau
+    # that is neither rejected nor a projection must raise EnvelopeError
+    A = FiniteStructure(3, [Relation("cyc", 3, {(0, 1, 2), (1, 2, 0),
+                                                (2, 0, 1)})])
+    tau = sorted(itertools.product(range(3), repeat=3))[:9]
+    extra = [b for b in qf_type_closure(A, tau) if b not in tau]
+    assert extra
+    f = tau_extension_map(tau, extra[0], 3)
+    assert is_partial_polymorphism(A, f)[0]
+    with pytest.raises(EnvelopeError):
+        extendable(A, f, default_limits())
+    with pytest.raises(EnvelopeError):
+        gamma_closure(A, tau)
 
 
 # --------------------------------------------------------- near-unanimity
@@ -342,7 +348,6 @@ def test_decide_ph_classification_rescue_not_trusted_blindly(monkeypatch):
     # knocked out the classification's NotPH claim cannot be confirmed and
     # the verdict stays Inconclusive
     import polyhom.homogeneity as hm
-    from polyhom.structures import EnvelopeError
 
     def refuse(*args, **kwargs):
         raise EnvelopeError("verification disabled for this test")
