@@ -2,18 +2,23 @@
 
 gamma_closure(A, tau) is the set of images of the tuple set tau under all
 polymorphisms of matching arity, computed one candidate at a time through
-the extendability engine; qf_type_closure(A, tau) is the outer bound given
-by quantifier-free atomic constraints (relation atoms over row selections
-plus equalities forced by repeated rows). A relation is pp-definable from
-the structure exactly when it is gamma-closed, and the invariant relations
-of the polymorphisms of bounded arity shrink onto the gamma-closed family
-as the arity bound grows; cross_check_inv_pol verifies that convergence.
+the extendability engine. qf_type_closure(A, tau) is the outer bound given
+by quantifier-free atomic types, computed on bitsets: QfAtoms numbers the
+atoms over A^m (a relation over a coordinate selection, or a coordinate
+equality), the atoms all of tau satisfies are the AND of its tuples' atom
+masks, and the candidates are the points of A^m satisfying every one of
+those atoms, a bitmask over A^m in itertools.product order. A relation is
+pp-definable from the structure exactly when it is gamma-closed, and the
+invariant relations of the polymorphisms of bounded arity shrink onto the
+gamma-closed family as the arity bound grows; cross_check_inv_pol verifies
+that convergence.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          StructureError, power)
@@ -45,14 +50,125 @@ def enumerate_polymorphisms(structure, k, cap=1 << 15, limits=None):
     return out, complete
 
 
+class QfAtoms:
+    """The quantifier-free atoms over A^m, with the points satisfying each.
+
+    An atom is a coordinate selection together with the tuples allowed
+    there: (sel, R) for every nonempty relation R of arity r and every sel
+    in range(m)^r, and ((i, j), diagonal) for every coordinate equality
+    i < j. Atom k is bit k of an atom mask. The points of A^m are numbered
+    in itertools.product order, and a point set is an int with bit i for
+    point i, so low-to-high bit order is sorted order.
+
+    Step one, atom_mask, gives the atoms one tuple satisfies; the atoms a
+    tuple set satisfies are the AND of its tuples' masks. Step two,
+    closure, gives the point set satisfying every atom of a mask.
+    """
+
+    def __init__(self, structure, m):
+        n = structure.size
+        if n ** m > MAX_QF_POINTS:
+            raise EnvelopeError("qf closure space %d^%d too large" % (n, m))
+        diagonal = frozenset((a, a) for a in range(n))
+        atoms = [((i, j), diagonal)
+                 for i in range(m) for j in range(i + 1, m)]
+        for rel in structure.relations:
+            if not rel.tuples:
+                continue
+            if m ** rel.arity > 1_000_000:
+                raise EnvelopeError(
+                    "qf closure needs %d selections for relation %s"
+                    % (m ** rel.arity, rel.name))
+            if rel.arity == 1:
+                # (i, i) over the doubled tuples: itemgetter(i) would
+                # return a bare value where every other atom gets a tuple
+                doubled = frozenset((a, a) for (a,) in rel.tuples)
+                atoms.extend(((i, i), doubled) for i in range(m))
+                continue
+            atoms.extend((sel, rel.tuples) for sel in
+                         itertools.product(range(m), repeat=rel.arity))
+        self.n = n
+        self.m = m
+        self._atoms = [(itemgetter(*sel), sel, allowed)
+                       for sel, allowed in atoms]
+        self.size = n ** m
+        self.full = (1 << self.size) - 1
+        self._satisfying = {}
+        self._cylinders = {}
+
+    def atom_mask(self, t):
+        """Step one: the atoms the m-tuple t satisfies."""
+        mask = 0
+        for k, (select, _, allowed) in enumerate(self._atoms):
+            if select(t) in allowed:
+                mask |= 1 << k
+        return mask
+
+    def closure(self, atom_mask):
+        """Step two: the points satisfying every atom of atom_mask."""
+        out = self.full
+        while atom_mask and out:
+            low = atom_mask & -atom_mask
+            atom_mask ^= low
+            out &= self._satisfying_points(low.bit_length() - 1)
+        return out
+
+    def point(self, i):
+        """The m-tuple numbered i."""
+        digits = []
+        for _ in range(self.m):
+            i, a = divmod(i, self.n)
+            digits.append(a)
+        return tuple(reversed(digits))
+
+    def decode(self, point_set):
+        """The points of a point set, sorted."""
+        bits = bin(point_set)[:1:-1]
+        out = []
+        i = bits.find("1")
+        while i >= 0:
+            out.append(self.point(i))
+            i = bits.find("1", i + 1)
+        return out
+
+    def _satisfying_points(self, k):
+        out = self._satisfying.get(k)
+        if out is None:
+            _, sel, allowed = self._atoms[k]
+            out = 0
+            for u in allowed:
+                term = self.full
+                for i, a in zip(sel, u):
+                    term &= self._cylinder(i, a)
+                out |= term
+            self._satisfying[k] = out
+        return out
+
+    def _cylinder(self, i, a):
+        """The points whose coordinate i is a."""
+        out = self._cylinders.get((i, a))
+        if out is None:
+            block = self.n ** (self.m - 1 - i)
+            out = ((1 << block) - 1) << (a * block)
+            period = self.n * block
+            while period < self.size:
+                out |= out << period
+                period <<= 1
+            out &= self.full
+            self._cylinders[(i, a)] = out
+        return out
+
+
 def qf_type_closure(structure, tau):
     """Candidate images of tau permitted by quantifier-free atomic types.
 
-    tau is a nonempty set of m-tuples. A tuple b qualifies when: for every
-    relation and every coordinate selection under which all of tau lands in
-    the relation, b lands in it too; and b_i = b_j whenever coordinates i
-    and j agree across all of tau. Always a superset of the polymorphism
-    image closure.
+    tau is a nonempty set of m-tuples. A tuple b qualifies when it satisfies
+    every atom that all of tau satisfies: for every relation and every
+    coordinate selection under which all of tau lands in the relation, b
+    lands in it too; and b_i = b_j whenever coordinates i and j agree
+    across all of tau. Computed as QfAtoms.closure of the AND of the
+    tuples' atom masks and returned sorted. Always a superset of the
+    polymorphism image closure.
     """
     tau = sorted(set(map(tuple, tau)))
     if not tau:
@@ -60,34 +176,11 @@ def qf_type_closure(structure, tau):
     m = len(tau[0])
     if any(len(t) != m for t in tau):
         raise StructureError("tau tuples must share one arity")
-    n = structure.size
-    if n ** m > MAX_QF_POINTS:
-        raise EnvelopeError("qf closure space %d^%d too large" % (n, m))
-    forced_eq = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if all(t[i] == t[j] for t in tau):
-                forced_eq.append((i, j))
-    constraints = []
-    for rel in structure.relations:
-        r = rel.arity
-        if not rel.tuples:
-            continue
-        if m ** r > 1_000_000:
-            raise EnvelopeError(
-                "qf closure needs %d selections for relation %s"
-                % (m ** r, rel.name))
-        for sel in itertools.product(range(m), repeat=r):
-            if all(tuple(t[i] for i in sel) in rel.tuples for t in tau):
-                constraints.append((sel, rel.tuples))
-    out = []
-    for b in itertools.product(range(n), repeat=m):
-        if any(b[i] != b[j] for i, j in forced_eq):
-            continue
-        if all(tuple(b[i] for i in sel) in tuples
-               for sel, tuples in constraints):
-            out.append(b)
-    return out
+    atoms = QfAtoms(structure, m)
+    mask = -1
+    for t in tau:
+        mask &= atoms.atom_mask(t)
+    return atoms.decode(atoms.closure(mask))
 
 
 def tau_extension_map(tau, b, size):
@@ -100,13 +193,11 @@ def tau_extension_map(tau, b, size):
     return PartialOpMap(len(tau), size, tuple(zip(rows, b)))
 
 
-def gamma_closure(structure, tau, limits=None):
-    """Images of tau under arity-|tau| polymorphisms, certified per
-    candidate. Raises EnvelopeError when a candidate cannot be settled
-    within the budget, rather than returning an uncertified set."""
-    limits = limits or default_limits()
+def _settled_candidates(structure, tau, limits):
+    """Each qf-type-permitted image b of tau, in sorted order, with whether
+    the map tau -> b extends to a polymorphism. Raises EnvelopeError when a
+    candidate cannot be settled within the budget."""
     tau = sorted(set(map(tuple, tau)))
-    out = []
     for b in qf_type_closure(structure, tau):
         f = tau_extension_map(tau, b, structure.size)
         res = extendable(structure, f, limits)
@@ -114,9 +205,16 @@ def gamma_closure(structure, tau, limits=None):
             raise EnvelopeError(
                 "image closure candidate %r exhausted the search budget"
                 % (b,))
-        if res.extendable:
-            out.append(b)
-    return out
+        yield b, res.extendable
+
+
+def gamma_closure(structure, tau, limits=None):
+    """Images of tau under arity-|tau| polymorphisms, certified per
+    candidate. Raises EnvelopeError when a candidate cannot be settled
+    within the budget, rather than returning an uncertified set."""
+    limits = limits or default_limits()
+    return [b for b, extends in _settled_candidates(structure, tau, limits)
+            if extends]
 
 
 @dataclass
@@ -306,10 +404,8 @@ def check_finite_polylocal(structure, m, limits=None, subset_cap=1 << 16):
     for size in range(1, space + 1):
         for tau in itertools.combinations(all_tuples, size):
             checked += 1
-            qf = qf_type_closure(structure, tau)
-            gamma = set(gamma_closure(structure, tau, limits))
-            for b in qf:
-                if b not in gamma:
+            for b, extends in _settled_candidates(structure, tau, limits):
+                if not extends:
                     return PolylocalResult(False, (list(tau), b), checked)
     return PolylocalResult(True, None, checked)
 

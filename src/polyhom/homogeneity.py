@@ -14,7 +14,8 @@ sweep in which every required candidate was extended with a witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -532,6 +533,102 @@ class Verdict:
         return out
 
 
+def _record_block(blocked, entry):
+    """Add a blocked step, keeping one entry per (step, m, reason): the
+    first occurrence keeps its details, with its tau and image tuples
+    stored as lists, and later ones only raise its count."""
+    key = (entry["step"], entry.get("m"), entry["reason"])
+    for seen in blocked:
+        if (seen["step"], seen.get("m"), seen["reason"]) == key:
+            seen["count"] += 1
+            return
+    if "tau" in entry:
+        entry["tau"] = [list(t) for t in entry["tau"]]
+        entry["image"] = list(entry["image"])
+    entry["count"] = 1
+    blocked.append(entry)
+
+
+def _within(limits, deadline):
+    """limits with the wall budget cut to what is left before deadline."""
+    if deadline is None:
+        return limits
+    return replace(limits, wall_budget=max(deadline - time.monotonic(), 1e-9))
+
+
+def _sweep_level(structure, m, limits, deadline, blocked, stats):
+    """Check every nonempty tuple set tau over A^m, by size and then
+    lexicographically, and every qf-type-permitted image b of it.
+
+    A tau is keyed by its point set over A^m (see galois.QfAtoms). An image
+    found extendable for some tau minus one tuple extends for tau too, so
+    only the rest of qf(tau) goes to extendable, in sorted order. Returns
+    ("complete", None), ("wall_budget", None) once the deadline has passed,
+    or ("not_extendable", (tau, b, f, result)) for the first refuted image.
+    Blocked candidates are recorded in blocked.
+    """
+    from .galois import QfAtoms
+
+    atoms = QfAtoms(structure, m)
+    n = structure.size
+    space = n ** m
+    points = [atoms.point(i) for i in range(space)]
+    point_atoms = [atoms.atom_mask(p) for p in points]
+    qf_memo = {}
+    prev_found = {}
+    for size in range(1, space + 1):
+        cur_found = {}
+        for combo in itertools.combinations(range(space), size):
+            if deadline is not None and time.monotonic() > deadline:
+                _record_block(blocked, {"step": "sweep", "m": m,
+                                        "reason": "wall_budget"})
+                return "wall_budget", None
+            key = 0
+            mask = -1
+            for i in combo:
+                key |= 1 << i
+                mask &= point_atoms[i]
+            inherited = 0
+            if size > 1:
+                for i in combo:
+                    inherited |= prev_found[key ^ (1 << i)]
+            qf = qf_memo.get(mask)
+            if qf is None:
+                qf = qf_memo[mask] = atoms.closure(mask)
+            found = qf & inherited
+            stats["tau_checked"] += 1
+            stats["candidates"] += qf.bit_count()
+            stats["cache_hits"] += found.bit_count()
+            todo = qf & ~inherited
+            tau = None
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                b = points[low.bit_length() - 1]
+                if tau is None:
+                    tau = [points[i] for i in combo]
+                    rows = [tuple(t[i] for t in tau) for i in range(m)]
+                f = PartialOpMap(size, n, tuple(zip(rows, b)))
+                try:
+                    res = extendable(structure, f, _within(limits, deadline))
+                except EnvelopeError as e:
+                    _record_block(blocked, {
+                        "step": "sweep", "m": m, "tau": tau, "image": b,
+                        "reason": "envelope", "detail": str(e)})
+                    continue
+                if res.not_extendable:
+                    return "not_extendable", (tau, b, f, res)
+                if res.exhausted:
+                    _record_block(blocked, {
+                        "step": "sweep", "m": m, "tau": tau, "image": b,
+                        "reason": res.detail.get("reason", "budget")})
+                    continue
+                found |= low
+            cur_found[key] = found
+        prev_found = cur_found
+    return "complete", None
+
+
 def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
               classification_routing=True):
     """Decide polymorphism-homogeneity with certificates.
@@ -540,15 +637,16 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
     near-unanimity polymorphism of arity d+1 where d = max(2, max arity),
     whose absence is already a certified negative; then sweep all nonempty
     tuple sets tau over A^m for m = 1..d in canonical order and require
-    every quantifier-free-type-closed image to be extendable. A budget or
-    envelope block never produces a verdict by itself: if nothing failed
-    outright the result is Inconclusive, and when the input is a recognized
+    every quantifier-free-type-closed image to be extendable. The wall
+    budget is one deadline for the whole call. A budget or envelope block
+    never produces a verdict by itself: if nothing failed outright the
+    result is Inconclusive, and when the input is a recognized
     classification family a counterexample map proposed by the
     classification is verified (never trusted) to upgrade to NotPH.
     """
-    from .galois import qf_type_closure
-
     limits = limits or default_limits()
+    deadline = (time.monotonic() + limits.wall_budget
+                if limits.wall_budget else None)
     n = structure.size
     trace = []
     blocked = []
@@ -560,11 +658,12 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
     nu_arity = d + 1
     nu_partial = canonical_partial_nu(structure, nu_arity)
     try:
-        nu = find_nu_polymorphism(structure, nu_arity, limits)
+        nu = find_nu_polymorphism(structure, nu_arity,
+                                  _within(limits, deadline))
     except EnvelopeError as e:
         nu = None
-        blocked.append({"step": "nu", "arity": nu_arity,
-                        "reason": "envelope", "detail": str(e)})
+        _record_block(blocked, {"step": "nu", "arity": nu_arity,
+                                "reason": "envelope", "detail": str(e)})
         trace.append({"step": "nu", "arity": nu_arity, "outcome": "blocked"})
     if nu is not None:
         trace.append({"step": "nu", "arity": nu_arity, "outcome": nu.status,
@@ -576,87 +675,55 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
                     "evidence": nu.detail}
             return Verdict("NotPH", certificate=cert, trace=trace)
         if nu.exhausted:
-            blocked.append({"step": "nu", "arity": nu_arity,
-                            "reason": nu.detail.get("reason", "budget")})
+            _record_block(blocked, {"step": "nu", "arity": nu_arity,
+                                    "reason": nu.detail.get("reason",
+                                                            "budget")})
 
+    guidance = ("the certified pipeline hit its envelope or budget; "
+                "raise POLYHOM_NODE_BUDGET / POLYHOM_WALL_BUDGET or reduce "
+                "the structure, or use family classification for an "
+                "uncertified answer")
     sweep_stats = {"tau_checked": 0, "candidates": 0, "cache_hits": 0}
     for m in range(1, d + 1):
-        space = n ** m
-        subsets = (1 << space) - 1
+        subsets = (1 << n ** m) - 1
         if subsets > tau_subset_cap:
-            blocked.append({"step": "sweep", "m": m,
-                            "reason": "subset_count",
-                            "detail": "%d nonempty tuple sets exceed cap %d"
-                                      % (subsets, tau_subset_cap)})
+            _record_block(blocked, {
+                "step": "sweep", "m": m, "reason": "subset_count",
+                "detail": "%d nonempty tuple sets exceed cap %d"
+                          % (subsets, tau_subset_cap)})
             trace.append({"step": "sweep", "m": m, "outcome": "blocked"})
             continue
-        all_tuples = sorted(itertools.product(range(n), repeat=m))
-        prev_found = {}
-        for size in range(1, space + 1):
-            cur_found = {}
-            for tau in itertools.combinations(all_tuples, size):
-                tau_set = frozenset(tau)
-                inherited = set()
-                if size > 1:
-                    for t in tau:
-                        sub = prev_found.get(tau_set - {t})
-                        if sub:
-                            inherited |= sub
-                qf = qf_type_closure(structure, tau)
-                found_here = set()
-                sweep_stats["tau_checked"] += 1
-                for b in qf:
-                    sweep_stats["candidates"] += 1
-                    if b in inherited:
-                        sweep_stats["cache_hits"] += 1
-                        found_here.add(b)
-                        continue
-                    rows = [tuple(t[i] for t in tau) for i in range(m)]
-                    f = PartialOpMap(len(tau), n,
-                                     tuple(zip(rows, b)))
-                    try:
-                        res = extendable(structure, f, limits)
-                    except EnvelopeError as e:
-                        blocked.append({"step": "sweep", "m": m,
-                                        "tau": [list(t) for t in tau],
-                                        "image": list(b),
-                                        "reason": "envelope",
-                                        "detail": str(e)})
-                        continue
-                    if res.not_extendable:
-                        ok, _ = is_partial_polymorphism(structure, f)
-                        if not ok:
-                            raise RuntimeError(
-                                "internal error: sweep produced a "
-                                "non-partial-polymorphism candidate")
-                        cert = {
-                            "kind": "non_extendable_map",
-                            "m": m,
-                            "tau": [list(t) for t in tau],
-                            "image": list(b),
-                            "map": f.to_json(),
-                            "evidence": res.detail,
-                        }
-                        trace.append({"step": "sweep", "m": m,
-                                      "tau": [list(t) for t in tau],
-                                      "image": list(b),
-                                      "outcome": "not_extendable"})
-                        note = None
-                        if blocked:
-                            note = ("earlier steps were blocked; the "
-                                    "negative certificate stands on its own")
-                        return Verdict("NotPH", certificate=cert, trace=trace,
-                                       blocked=blocked, guidance=note)
-                    if res.exhausted:
-                        blocked.append({"step": "sweep", "m": m,
-                                        "tau": [list(t) for t in tau],
-                                        "image": list(b),
-                                        "reason": res.detail.get("reason",
-                                                                 "budget")})
-                        continue
-                    found_here.add(b)
-                cur_found[tau_set] = found_here
-            prev_found = cur_found
+        outcome, refutation = _sweep_level(structure, m, limits, deadline,
+                                           blocked, sweep_stats)
+        if outcome == "wall_budget":
+            trace.append({"step": "sweep", "m": m, "outcome": "wall_budget",
+                          "tau_checked": sweep_stats["tau_checked"]})
+            return Verdict("Inconclusive", trace=trace, blocked=blocked,
+                           guidance=guidance)
+        if outcome == "not_extendable":
+            tau, b, f, res = refutation
+            ok, _ = is_partial_polymorphism(structure, f)
+            if not ok:
+                raise RuntimeError("internal error: sweep produced a "
+                                   "non-partial-polymorphism candidate")
+            cert = {
+                "kind": "non_extendable_map",
+                "m": m,
+                "tau": [list(t) for t in tau],
+                "image": list(b),
+                "map": f.to_json(),
+                "evidence": res.detail,
+            }
+            trace.append({"step": "sweep", "m": m,
+                          "tau": [list(t) for t in tau],
+                          "image": list(b),
+                          "outcome": "not_extendable"})
+            note = None
+            if blocked:
+                note = ("earlier steps were blocked; the negative "
+                        "certificate stands on its own")
+            return Verdict("NotPH", certificate=cert, trace=trace,
+                           blocked=blocked, guidance=note)
         trace.append({"step": "sweep", "m": m, "outcome": "complete",
                       "tau_checked": sweep_stats["tau_checked"]})
 
@@ -667,10 +734,6 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
             cert["nu_witness"] = nu.witness.to_json()
         return Verdict("PH", certificate=cert, trace=trace)
 
-    guidance = ("the certified pipeline hit its envelope or budget; "
-                "raise POLYHOM_NODE_BUDGET / POLYHOM_WALL_BUDGET or reduce "
-                "the structure, or use family classification for an "
-                "uncertified answer")
     if classification_routing:
         from .classify import rescue_witness
         rescue = rescue_witness(structure)
@@ -678,7 +741,8 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
             family, claims_ph, wmap, reason = rescue
             if not claims_ph and wmap is not None:
                 try:
-                    res = extendable(structure, wmap, limits)
+                    res = extendable(structure, wmap,
+                                     _within(limits, deadline))
                 except EnvelopeError:
                     res = None
                 if res is not None and res.not_extendable:

@@ -9,7 +9,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      enumerate_polymorphisms, gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
 from polyhom.galois import RelationFamily
-from polyhom.generate import all_n2_binary
+from polyhom.generate import all_graphs, all_n2_binary, all_posets
 
 from oracles import (oracle_gamma, oracle_invariant_relations,
                      oracle_is_partial_polymorphism, oracle_polymorphisms,
@@ -115,14 +115,21 @@ def test_qf_type_closure_of_everything_is_everything():
 
 def test_qf_type_closure_equals_partial_polymorphism_test():
     # b qualifies exactly when the row-to-b map is a well defined partial
-    # polymorphism of arity |tau|
-    for structure in all_n2_binary():
-        points = sorted(itertools.product(range(2), repeat=2))
+    # polymorphism of arity |tau|; the three-point inputs exercise
+    # coordinate equalities, and the ternary one arity-3 selections
+    ternary = FiniteStructure(
+        2, [Relation("r", 3, {(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 0)}),
+            Relation("u", 1, {(1,)})], name="ternary2")
+    cases = ([(A, 2) for A in all_n2_binary()]
+             + [(A, 2) for A in all_graphs(3) + all_posets(3)]
+             + [(ternary, 3)])
+    for structure, m in cases:
+        points = sorted(itertools.product(range(structure.size), repeat=m))
         for tau in nonempty_subsets(points, max_size=3):
             got = set(qf_type_closure(structure, tau))
             expected = set()
             for b in points:
-                rows = [tuple(t[i] for t in tau) for i in range(2)]
+                rows = [tuple(t[i] for t in tau) for i in range(m)]
                 entries = {}
                 functional = True
                 for row, val in zip(rows, b):
@@ -133,7 +140,7 @@ def test_qf_type_closure_equals_partial_polymorphism_test():
                 if functional and oracle_is_partial_polymorphism(
                         structure, entries, len(tau)):
                     expected.add(b)
-            assert got == expected
+            assert got == expected, (structure.name, tau)
 
 
 def test_qf_type_closure_input_errors():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -35,6 +36,14 @@ def bowtie():
         "poset", 4,
         [(i, i) for i in range(4)] + [(0, 2), (0, 3), (1, 2), (1, 3)],
         name="bowtie")
+
+
+def diamond():
+    return canonical_structure(
+        "poset", 4,
+        [(i, i) for i in range(4)] + [(0, 1), (0, 2), (0, 3), (1, 3),
+                                      (2, 3)],
+        name="diamond")
 
 
 def tern3():
@@ -307,16 +316,35 @@ def test_decide_ph_certificates_reverify():
         assert check["ok"], (A.name, check)
 
 
+def test_decide_ph_full_diamond_sweep():
+    # the 4-point lattice sweeps all 65,535 tuple sets at m = 2; nearly
+    # every candidate image is inherited from a smaller tuple set
+    v = decide_ph(diamond())
+    assert v.status == "PH"
+    assert v.certificate["kind"] == "sweep_complete"
+    assert v.certificate["stats"] == {"tau_checked": 65550,
+                                      "candidates": 1041496,
+                                      "cache_hits": 1041292}
+    assert not v.blocked
+
+
+def test_decide_ph_wall_budget_is_one_deadline():
+    # the budget covers the whole call, not each extension CSP, so the
+    # diamond's sweep stops early with an honest Inconclusive
+    t0 = time.monotonic()
+    v = decide_ph(diamond(), SearchLimits(wall_budget=0.01))
+    assert time.monotonic() - t0 < 1
+    assert v.status == "Inconclusive"
+    assert v.certificate is None
+    assert any(b["step"] == "sweep" and b["reason"] == "wall_budget"
+               for b in v.blocked)
+
+
 def test_decide_ph_inconclusive_when_sweep_is_capped():
     # the diamond is a lattice (so actually PH), but a tight tuple-set cap
     # blocks the m=2 sweep; classification may only add guidance, never a
     # PH verdict
-    diamond = canonical_structure(
-        "poset", 4,
-        [(i, i) for i in range(4)] + [(0, 1), (0, 2), (0, 3), (1, 3),
-                                      (2, 3)],
-        name="diamond")
-    v = decide_ph(diamond, tau_subset_cap=1000)
+    v = decide_ph(diamond(), tau_subset_cap=1000)
     assert v.status == "Inconclusive"
     assert v.certificate is None
     assert v.blocked
@@ -356,4 +384,8 @@ def test_decide_ph_classification_rescue_not_trusted_blindly(monkeypatch):
     v = decide_ph(bowtie(), default_limits())
     assert v.status == "Inconclusive"
     assert v.certificate is None
-    assert v.blocked
+    # one entry per (step, m, reason), each counting its blocked candidates
+    assert [(b["step"], b.get("m"), b["reason"]) for b in v.blocked] == [
+        ("nu", None, "envelope"), ("sweep", 1, "envelope"),
+        ("sweep", 2, "envelope")]
+    assert v.blocked[2]["count"] > 1_000_000
