@@ -36,6 +36,6 @@ from .classify import (ClassReport, recognize_family, classify_graph,
                        enumerate_meet_complete_sublattices, is_arithmetical,
                        structure_partitions, classify_eq_lattice,
                        escalating_counterexample, kaarli_cross_check,
-                       classify_structure, rescue_witness)
+                       classify_structure)
 
 __version__ = "0.1.0"

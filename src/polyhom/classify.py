@@ -9,8 +9,7 @@ permute and the lattice is distributive). Each NotPH classification is
 backed, where the family admits a uniform construction, by an explicit
 partial map that provably fails to extend, re-verified through the
 extension engine. These classifiers serve as independent oracles for the
-generic decision procedure and as its rescue path outside the certified
-envelope.
+generic decision procedure.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import (FiniteStructure, PartialOpMap, StructureError,
-                         canonical_structure)
+from .structures import (EnvelopeError, FiniteStructure, PartialOpMap,
+                         StructureError, canonical_structure)
 from .search import default_limits
-from .homogeneity import extendable, is_k_ph, is_partial_polymorphism
+from .homogeneity import (canonical_partial_nu, extendable, is_k_ph,
+                          is_partial_polymorphism)
 
 ESCALATION_MAX_ARITY = 3
 ESCALATION_MAX_DOMAIN = 4
@@ -204,6 +204,17 @@ def _isolated_vertex_witness(structure, limits):
     return (1, f)
 
 
+def _no_majority_witness(structure, limits):
+    """The map every majority operation extends, when it is a partial
+    polymorphism that does not extend: then the graph has no majority
+    polymorphism. Returns (3, map) or None."""
+    f = canonical_partial_nu(structure, 3)
+    ok, _ = is_partial_polymorphism(structure, f)
+    if ok and extendable(structure, f, limits).not_extendable:
+        return (3, f)
+    return None
+
+
 def classify_graph(structure, limits=None, with_witness=True):
     """PH exactly when the edge set is empty or every connected component
     is a single edge."""
@@ -224,7 +235,13 @@ def classify_graph(structure, limits=None, with_witness=True):
         return ClassReport("graph", "PH", reasons)
     witness = arity = None
     if with_witness:
-        got = graph_star_witness(structure, limits)
+        try:
+            got = graph_star_witness(structure, limits)
+        except EnvelopeError:
+            # the star witness's extension CSP is out of reach (K6: arity 7)
+            got = _no_majority_witness(structure, limits)
+            if got is None:
+                raise
         if got is None:
             got = _isolated_vertex_witness(structure, limits)
         if got is not None:
@@ -725,7 +742,7 @@ def kaarli_cross_check(n, limits=None, max_arity=ESCALATION_MAX_ARITY):
     }
 
 
-# ------------------------------------------------------------------ rescue
+# -------------------------------------------------------------- dispatch
 
 def classify_structure(structure, limits=None):
     """Dispatch to the recognized family's classifier; None if the
@@ -740,21 +757,3 @@ def classify_structure(structure, limits=None):
     if family == "eq_lattice":
         return classify_eq_lattice(structure, limits)
     return None
-
-
-def rescue_witness(structure, limits=None):
-    """Classification assist for the generic decision procedure when its
-    own sweep is out of budget: returns (family, claims_ph, witness_map,
-    reason) or None. A NotPH witness map still has to be re-verified by
-    the caller; a PH claim is advisory only and never yields a verdict.
-    """
-    try:
-        report = classify_structure(structure, limits)
-    except StructureError:
-        return None
-    if report is None:
-        return None
-    reason_bits = ["%s=%s" % (k, v) for k, v in sorted(report.reasons.items())
-                   if isinstance(v, bool)]
-    reason = "%s classification: %s" % (report.family, ", ".join(reason_bits))
-    return (report.family, report.is_ph, report.witness, reason)

@@ -7,11 +7,12 @@ by quantifier-free atomic types, computed on bitsets: QfAtoms numbers the
 atoms over A^m (a relation over a coordinate selection, or a coordinate
 equality), the atoms all of tau satisfies are the AND of its tuples' atom
 masks, and the candidates are the points of A^m satisfying every one of
-those atoms, a bitmask over A^m in itertools.product order. A relation is
-pp-definable from the structure exactly when it is gamma-closed, and the
-invariant relations of the polymorphisms of bounded arity shrink onto the
-gamma-closed family as the arity bound grows; cross_check_inv_pol verifies
-that convergence.
+those atoms, a bitmask over A^m in itertools.product order; QfAtoms also
+gives the qf-closed sets and their minimal covers, which decide_ph sweeps.
+A relation is pp-definable from the structure exactly when it is
+gamma-closed, and the invariant relations of the polymorphisms of bounded
+arity shrink onto the gamma-closed family as the arity bound grows;
+cross_check_inv_pol verifies that convergence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import itemgetter
 
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          StructureError, power)
-from .search import (ExtensionProblem, SearchLimits, default_limits,
+from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
                      enumerate_solutions)
 from .homogeneity import FunctionTable, extendable
 
@@ -63,6 +64,9 @@ class QfAtoms:
     Step one, atom_mask, gives the atoms one tuple satisfies; the atoms a
     tuple set satisfies are the AND of its tuples' masks. Step two,
     closure, gives the point set satisfying every atom of a mask.
+
+    A qf-closed set Q = qf(tau) keeps the atoms of tau, At(Q) = At(tau).
+    qf_sets lists them, and covers gives the minimal tau with a qf(tau).
     """
 
     def __init__(self, structure, m):
@@ -95,6 +99,7 @@ class QfAtoms:
         self.full = (1 << self.size) - 1
         self._satisfying = {}
         self._cylinders = {}
+        self._point_atoms = None
 
     def atom_mask(self, t):
         """Step one: the atoms the m-tuple t satisfies."""
@@ -112,6 +117,59 @@ class QfAtoms:
             atom_mask ^= low
             out &= self._satisfying_points(low.bit_length() - 1)
         return out
+
+    def qf(self, point_set):
+        """The qf-type closure of a nonempty point set, as a point set."""
+        mask = -1
+        for i in _bits(point_set):
+            mask &= self._point_masks()[i]
+        return self.closure(mask)
+
+    def qf_sets(self):
+        """The nonempty qf-closed point sets, by size and then by value,
+        each with its atom mask: the closures of the distinct ANDs of
+        point atom masks."""
+        masks = set()
+        for pm in self._point_masks():
+            masks |= {pm & x for x in masks}
+            masks.add(pm)
+        return sorted(((self.closure(a), a) for a in masks),
+                      key=lambda qa: (qa[0].bit_count(), qa[0]))
+
+    def covers(self, q, atom_mask):
+        """The minimal covers of the qf-closed set q with atoms atom_mask,
+        by size and then by value: the inclusion-minimal tau within q with
+        At(tau) = atom_mask, which are the minimal transversals (Berge;
+        Eiter and Gottlob 1995) of the edges {points of q violating atom k
+        : k not in atom_mask}, or the singletons of q if there are none.
+        Branches on the unmet edge with the fewest open points, barring
+        the points tried before in it, and keeps a transversal whose every
+        point is alone in some edge."""
+        edges = {q & ~self._satisfying_points(k)
+                 for k in range(len(self._atoms)) if not atom_mask >> k & 1}
+        if not edges:
+            return [1 << i for i in _bits(q)]
+        out = []
+
+        def grow(chosen, barred):
+            unmet = [e & ~barred for e in edges if not e & chosen]
+            if unmet:
+                tried = 0
+                for i in _bits(min(unmet, key=int.bit_count)):
+                    grow(chosen | 1 << i, barred | tried)
+                    tried |= 1 << i
+            elif all(any(e & chosen == 1 << i for e in edges)
+                     for i in _bits(chosen)):
+                out.append(chosen)
+
+        grow(0, 0)
+        return sorted(out, key=lambda c: (c.bit_count(), c))
+
+    def _point_masks(self):
+        if self._point_atoms is None:
+            self._point_atoms = [self.atom_mask(self.point(i))
+                                 for i in range(self.size)]
+        return self._point_atoms
 
     def point(self, i):
         """The m-tuple numbered i."""

@@ -8,7 +8,8 @@ to a total polymorphism, and PH when that holds for every arity.
 The decision pipeline certifies its answers: a negative verdict always
 carries a concrete partial polymorphism together with machine-recheckable
 evidence that no total extension exists, and positive verdicts summarize a
-sweep in which every required candidate was extended with a witness.
+sweep over the qf-closed tuple sets and their minimal covers in which every
+required candidate was extended with a witness.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
                          StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import ExtensionProblem, default_limits, solve, MAX_CSP_VARS
+from .search import (ExtensionProblem, _bits, default_limits, solve,
+                     MAX_CSP_VARS)
 
 # row-selection cap for the partial polymorphism check
 PP_COMBO_CAP = 2_000_000
@@ -243,8 +245,12 @@ def extendable(structure, f, limits=None):
     detail = {"route": "csp", "csp_vars": handle.size, "nodes": out.nodes}
     if out.found:
         table = [out.assignment[c] for c in range(handle.size)]
-        reduced = FunctionTable(l, f.size, "table", table)
-        witness = _reindexed_table(reduced, f.arity, kept_first, f.size)
+        witness = FunctionTable(l, f.size, "table", table)
+        if kept_first != list(range(f.arity)):
+            # merged columns: read the l-ary table at the kept columns
+            tree = ("app", 0, tuple(("x", j) for j in kept_first))
+            witness = FunctionTable(f.arity, f.size, "term",
+                                    ([(l, tuple(table))], tree))
         if not witness.extends(f):
             raise RuntimeError("internal error: CSP witness fails to "
                                "extend the map")
@@ -253,14 +259,6 @@ def extendable(structure, f, limits=None):
         return ExtendResult("not_extendable", None, detail)
     detail["reason"] = out.reason
     return ExtendResult("exhausted", None, detail)
-
-
-def _reindexed_table(reduced, arity, kept_first, size):
-    """Wrap an l-ary table as a k-ary operation reading the kept columns."""
-    ops = [(reduced.arity, tuple(reduced.payload))]
-    tree = ("app", 0, tuple(("x", kept_first[j])
-                            for j in range(reduced.arity)))
-    return FunctionTable(arity, size, "term", (ops, tree))
 
 
 def canonical_partial_nu(structure, r):
@@ -557,92 +555,84 @@ def _within(limits, deadline):
 
 
 def _sweep_level(structure, m, limits, deadline, blocked, stats):
-    """Check every nonempty tuple set tau over A^m, by size and then
-    lexicographically, and every qf-type-permitted image b of it.
+    """Check every qf-closed set Q over A^m against its minimal covers.
 
-    A tau is keyed by its point set over A^m (see galois.QfAtoms). An image
-    found extendable for some tau minus one tuple extends for tau too, so
-    only the rest of qf(tau) goes to extendable, in sorted order. Returns
-    ("complete", None), ("wall_budget", None) once the deadline has passed,
-    or ("not_extendable", (tau, b, f, result)) for the first refuted image.
-    Blocked candidates are recorded in blocked.
+    qf(tau) depends only on the atoms all of tau satisfies, and gamma is
+    monotone, so qf(tau) is within gamma(tau) for every tuple set tau iff
+    Q is within gamma(tau0) for every qf-closed Q and minimal cover tau0
+    (see galois.QfAtoms). The first cover of Q checks the images in Q; once
+    a cover G is verified, a later cover only needs G, since gamma is
+    idempotent. An image in qf(tau0 minus one tuple) is skipped when that
+    smaller set is settled: every cover of it was checked, none blocked.
+    Returns ("complete", None), ("blocked", None) when some candidate or
+    the level itself was out of reach, ("wall_budget", None) once the
+    deadline has passed, or ("not_extendable", (tau, b, f, result)) for
+    the first refuted image. Blocked candidates are recorded in blocked.
     """
-    from .galois import QfAtoms
+    from .galois import QfAtoms, tau_extension_map
 
-    atoms = QfAtoms(structure, m)
-    n = structure.size
-    space = n ** m
-    points = [atoms.point(i) for i in range(space)]
-    point_atoms = [atoms.atom_mask(p) for p in points]
-    qf_memo = {}
-    prev_found = {}
-    for size in range(1, space + 1):
-        cur_found = {}
-        for combo in itertools.combinations(range(space), size):
+    try:
+        atoms = QfAtoms(structure, m)
+    except EnvelopeError as e:
+        _record_block(blocked, {"step": "sweep", "m": m,
+                                "reason": "envelope", "detail": str(e)})
+        return "blocked", None
+    qf_sets = atoms.qf_sets()
+    settled = set()
+    for q, atom_mask in qf_sets:
+        stats["qf_sets"] += 1
+        verified = None
+        complete = True
+        for cover in atoms.covers(q, atom_mask):
             if deadline is not None and time.monotonic() > deadline:
                 _record_block(blocked, {"step": "sweep", "m": m,
                                         "reason": "wall_budget"})
                 return "wall_budget", None
-            key = 0
-            mask = -1
-            for i in combo:
-                key |= 1 << i
-                mask &= point_atoms[i]
-            inherited = 0
-            if size > 1:
-                for i in combo:
-                    inherited |= prev_found[key ^ (1 << i)]
-            qf = qf_memo.get(mask)
-            if qf is None:
-                qf = qf_memo[mask] = atoms.closure(mask)
-            found = qf & inherited
-            stats["tau_checked"] += 1
-            stats["candidates"] += qf.bit_count()
-            stats["cache_hits"] += found.bit_count()
-            todo = qf & ~inherited
-            tau = None
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                b = points[low.bit_length() - 1]
-                if tau is None:
-                    tau = [points[i] for i in combo]
-                    rows = [tuple(t[i] for t in tau) for i in range(m)]
-                f = PartialOpMap(size, n, tuple(zip(rows, b)))
+            stats["covers"] += 1
+            todo = (q if verified is None else verified) & ~cover
+            if cover & (cover - 1):
+                for j in _bits(cover):
+                    smaller = atoms.qf(cover ^ 1 << j)
+                    if smaller in settled:
+                        todo &= ~smaller
+            tau = atoms.decode(cover)
+            ok = True
+            for i in _bits(todo):
+                b = atoms.point(i)
+                f = tau_extension_map(tau, b, structure.size)
+                stats["extendable_calls"] += 1
                 try:
                     res = extendable(structure, f, _within(limits, deadline))
                 except EnvelopeError as e:
-                    _record_block(blocked, {
-                        "step": "sweep", "m": m, "tau": tau, "image": b,
-                        "reason": "envelope", "detail": str(e)})
-                    continue
-                if res.not_extendable:
-                    return "not_extendable", (tau, b, f, res)
-                if res.exhausted:
-                    _record_block(blocked, {
-                        "step": "sweep", "m": m, "tau": tau, "image": b,
-                        "reason": res.detail.get("reason", "budget")})
-                    continue
-                found |= low
-            cur_found[key] = found
-        prev_found = cur_found
-    return "complete", None
+                    why = {"reason": "envelope", "detail": str(e)}
+                else:
+                    if res.not_extendable:
+                        return "not_extendable", (tau, b, f, res)
+                    if res.extendable:
+                        continue
+                    why = {"reason": res.detail.get("reason", "budget")}
+                ok = False
+                _record_block(blocked, {"step": "sweep", "m": m, "tau": tau,
+                                        "image": b, **why})
+            if ok and verified is None:
+                verified = cover
+            complete = complete and ok
+        if complete:
+            settled.add(q)
+    return ("complete" if len(settled) == len(qf_sets) else "blocked"), None
 
 
-def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
-              classification_routing=True):
+def decide_ph(structure, limits=None):
     """Decide polymorphism-homogeneity with certificates.
 
     Pipeline: a one-element structure is PH; otherwise search for a
     near-unanimity polymorphism of arity d+1 where d = max(2, max arity),
-    whose absence is already a certified negative; then sweep all nonempty
-    tuple sets tau over A^m for m = 1..d in canonical order and require
-    every quantifier-free-type-closed image to be extendable. The wall
-    budget is one deadline for the whole call. A budget or envelope block
-    never produces a verdict by itself: if nothing failed outright the
-    result is Inconclusive, and when the input is a recognized
-    classification family a counterexample map proposed by the
-    classification is verified (never trusted) to upgrade to NotPH.
+    whose absence is already a certified negative; then, for m = 1..d,
+    sweep the qf-closed sets over A^m through their minimal covers and
+    require every quantifier-free-type-closed image to be extendable (see
+    _sweep_level). The wall budget is one deadline for the whole call. A
+    budget or envelope block never produces a verdict by itself: if
+    nothing failed outright the result is Inconclusive.
     """
     limits = limits or default_limits()
     deadline = (time.monotonic() + limits.wall_budget
@@ -683,23 +673,10 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
                 "raise POLYHOM_NODE_BUDGET / POLYHOM_WALL_BUDGET or reduce "
                 "the structure, or use family classification for an "
                 "uncertified answer")
-    sweep_stats = {"tau_checked": 0, "candidates": 0, "cache_hits": 0}
+    sweep_stats = {"qf_sets": 0, "covers": 0, "extendable_calls": 0}
     for m in range(1, d + 1):
-        subsets = (1 << n ** m) - 1
-        if subsets > tau_subset_cap:
-            _record_block(blocked, {
-                "step": "sweep", "m": m, "reason": "subset_count",
-                "detail": "%d nonempty tuple sets exceed cap %d"
-                          % (subsets, tau_subset_cap)})
-            trace.append({"step": "sweep", "m": m, "outcome": "blocked"})
-            continue
         outcome, refutation = _sweep_level(structure, m, limits, deadline,
                                            blocked, sweep_stats)
-        if outcome == "wall_budget":
-            trace.append({"step": "sweep", "m": m, "outcome": "wall_budget",
-                          "tau_checked": sweep_stats["tau_checked"]})
-            return Verdict("Inconclusive", trace=trace, blocked=blocked,
-                           guidance=guidance)
         if outcome == "not_extendable":
             tau, b, f, res = refutation
             ok, _ = is_partial_polymorphism(structure, f)
@@ -724,8 +701,10 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
                         "certificate stands on its own")
             return Verdict("NotPH", certificate=cert, trace=trace,
                            blocked=blocked, guidance=note)
-        trace.append({"step": "sweep", "m": m, "outcome": "complete",
-                      "tau_checked": sweep_stats["tau_checked"]})
+        trace.append({"step": "sweep", "m": m, "outcome": outcome,
+                      **sweep_stats})
+        if outcome == "wall_budget":
+            break
 
     if not blocked:
         cert = {"kind": "sweep_complete", "max_arity_swept": d,
@@ -734,32 +713,5 @@ def decide_ph(structure, limits=None, tau_subset_cap=1 << 16,
             cert["nu_witness"] = nu.witness.to_json()
         return Verdict("PH", certificate=cert, trace=trace)
 
-    if classification_routing:
-        from .classify import rescue_witness
-        rescue = rescue_witness(structure)
-        if rescue is not None:
-            family, claims_ph, wmap, reason = rescue
-            if not claims_ph and wmap is not None:
-                try:
-                    res = extendable(structure, wmap,
-                                     _within(limits, deadline))
-                except EnvelopeError:
-                    res = None
-                if res is not None and res.not_extendable:
-                    cert = {"kind": "non_extendable_map",
-                            "family": family,
-                            "classification_reason": reason,
-                            "map": wmap.to_json(),
-                            "evidence": res.detail}
-                    trace.append({"step": "classification_rescue",
-                                  "family": family,
-                                  "outcome": "verified_witness"})
-                    return Verdict("NotPH", certificate=cert, trace=trace,
-                                   blocked=blocked)
-            if claims_ph:
-                guidance = ("classification of the %s family indicates PH "
-                            "(%s), but the certified pipeline could not "
-                            "finish; no verdict is emitted on that basis"
-                            % (family, reason))
     return Verdict("Inconclusive", trace=trace, blocked=blocked,
                    guidance=guidance)

@@ -8,10 +8,9 @@ relations are never enumerated during search.
 
 Search is depth-first over domain bitmasks with trail-based undo, smallest
 domain first, values ascending. Propagation is arc consistency on binary
-constraints by default ("ac"); "fc" revises only from freshly assigned
-variables. Relations of arity >= 3 use incident-tuple forward checking in
-both modes; every variable that becomes a singleton triggers its incident
-checks, so complete assignments satisfy all constraints. Found results are
+constraints. Relations of arity >= 3 use incident-tuple forward checking;
+every variable that becomes a singleton triggers its incident checks, so
+complete assignments satisfy all constraints. Found results are
 re-verified independently before they are returned, and a verification
 mismatch is a hard error, never a silent answer.
 """
@@ -49,11 +48,8 @@ class InconsistentPinsError(ValueError):
 class SearchLimits:
     node_budget: int = DEFAULT_NODE_BUDGET
     wall_budget: float = None  # seconds; None = unbounded
-    propagation: str = "ac"
 
     def __post_init__(self):
-        if self.propagation not in ("ac", "fc"):
-            raise ValueError("propagation must be 'ac' or 'fc'")
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
 
@@ -451,9 +447,8 @@ class _Budget:
 
 
 class _Search:
-    def __init__(self, ctx, pins, limits):
+    def __init__(self, ctx, pins):
         self.ctx = ctx
-        self.limits = limits
         self.domains = ctx.initial_domains.copy()
         self.trail = []
         for var, val in pins:
@@ -466,7 +461,7 @@ class _Search:
             var, old = trail.pop()
             domains[var] = old
 
-    def _prune_var(self, var, allowed, singles, binq, cascade):
+    def _prune_var(self, var, allowed, singles, binq):
         old = int(self.domains[var])
         new = old & allowed
         if new == old:
@@ -477,11 +472,10 @@ class _Search:
             return False
         if new & (new - 1) == 0:
             singles.append(var)
-        if cascade:
-            binq.append(var)
+        binq.append(var)
         return True
 
-    def _revise_from(self, u, singles, binq, cascade):
+    def _revise_from(self, u, singles, binq):
         ctx = self.ctx
         domains = self.domains
         du = int(domains[u])
@@ -491,16 +485,16 @@ class _Search:
             allowed = con.succ_allowed(du)
             if allowed != ctx.full_mask:
                 nb = ctx.nb_mask(u, ci, outgoing=True)
-                if not self._revise_set(nb, allowed, singles, binq, cascade):
+                if not self._revise_set(nb, allowed, singles, binq):
                     return False
             allowed = con.pred_allowed(du)
             if allowed != ctx.full_mask:
                 nb = ctx.nb_mask(u, ci, outgoing=False)
-                if not self._revise_set(nb, allowed, singles, binq, cascade):
+                if not self._revise_set(nb, allowed, singles, binq):
                     return False
         return True
 
-    def _revise_set(self, nb, allowed, singles, binq, cascade):
+    def _revise_set(self, nb, allowed, singles, binq):
         domains = self.domains
         masked = domains & np.uint32(allowed)
         changed = nb & (masked != domains)
@@ -521,11 +515,10 @@ class _Search:
                 singles.append(var)
         if not ok:
             return False
-        if cascade:
-            binq.extend(idx.tolist())
+        binq.extend(idx.tolist())
         return True
 
-    def _check_singleton(self, v, singles, binq, cascade):
+    def _check_singleton(self, v, singles, binq):
         """Incident arity >= 3 tuples of a freshly singleton variable."""
         ctx = self.ctx
         domains = self.domains
@@ -549,12 +542,12 @@ class _Search:
                     fixed[w] = b
                     if tuple(fixed[x] for x in t) in con.target:
                         allowed |= 1 << b
-                if not self._prune_var(w, allowed, singles, binq, cascade):
+                if not self._prune_var(w, allowed, singles, binq):
                     return False
         return True
 
-    def propagate(self, changed_vars, cascade):
-        """Revise from changed vars; cascade=True gives arc consistency."""
+    def propagate(self, changed_vars):
+        """Revise from changed vars to arc consistency."""
         domains = self.domains
         binq = deque(changed_vars)
         singles = deque(v for v in changed_vars
@@ -562,29 +555,23 @@ class _Search:
         while binq or singles:
             while singles:
                 v = singles.popleft()
-                if not self._check_singleton(v, singles, binq, cascade):
+                if not self._check_singleton(v, singles, binq):
                     return False
-                # a singleton revises its neighbors in both modes
-                if not self._revise_from(v, singles, binq, cascade):
+                if not self._revise_from(v, singles, binq):
                     return False
             if binq:
                 u = binq.popleft()
                 if int(domains[u]) & (int(domains[u]) - 1) == 0:
                     continue  # singletons already revised above
-                if not self._revise_from(u, singles, binq, cascade):
+                if not self._revise_from(u, singles, binq):
                     return False
         return True
 
-    def root_propagate(self, pins):
-        ctx = self.ctx
+    def root_propagate(self):
         if (self.domains == 0).any():
             return False
-        cascade = self.limits.propagation == "ac"
-        if cascade:
-            seeds = np.flatnonzero(self.domains != ctx.full_mask).tolist()
-        else:
-            seeds = sorted({var for var, _ in pins})
-        return self.propagate(seeds, cascade)
+        return self.propagate(
+            np.flatnonzero(self.domains != self.ctx.full_mask).tolist())
 
     def select_dynamic(self):
         sizes = np.bitwise_count(self.domains).astype(np.int32)
@@ -610,7 +597,6 @@ class _Search:
         Returns 'found' | 'unsat' | 'exhausted' | 'stopped'.
         """
         select = self.select_static if static_order else self.select_dynamic
-        cascade = self.limits.propagation == "ac"
         var = select()
         if var is None:
             if on_solution is None:
@@ -630,7 +616,7 @@ class _Search:
             val = vals[idx]
             self.trail.append((var, int(self.domains[var])))
             self.domains[var] = np.uint32(1 << val)
-            if not self.propagate([var], cascade):
+            if not self.propagate([var]):
                 continue
             nxt = select()
             if nxt is None:
@@ -654,8 +640,8 @@ def solve(problem, limits=None):
     budget = _Budget(limits)
     if ctx.static_unsat is not None:
         return Outcome("unsat", nodes=0, wall=budget.wall, nvars=ctx.nvars)
-    search = _Search(ctx, problem.pins, limits)
-    if not search.root_propagate(problem.pins):
+    search = _Search(ctx, problem.pins)
+    if not search.root_propagate():
         return Outcome("unsat", nodes=0, wall=budget.wall, nvars=ctx.nvars)
     status = search.run(budget)
     if status == "found":
@@ -690,8 +676,8 @@ def enumerate_solutions(problem, cap, limits=None):
     budget = _Budget(limits)
     if ctx.static_unsat is not None:
         return [], True
-    search = _Search(ctx, problem.pins, limits)
-    if not search.root_propagate(problem.pins):
+    search = _Search(ctx, problem.pins)
+    if not search.root_propagate():
         return [], True
     out = []
 

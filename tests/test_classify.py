@@ -14,7 +14,7 @@ from polyhom import (FiniteStructure, Relation, StructureError,
                      pairs_to_partition, partition_join, partition_meet,
                      partition_pairs, partitions_of, poset_is_lattice,
                      poset_pair_witness, realizer, recognize_family,
-                     rescue_witness, strict_poset_witness)
+                     strict_poset_witness)
 from polyhom.generate import (all_graphs, all_posets, all_strict_posets)
 
 from oracles import oracle_is_partial_polymorphism
@@ -105,6 +105,17 @@ def test_star_witness_on_the_two_edge_path():
     arity, f = graph_star_witness(g)
     assert arity == 3
     assert_verified_witness(g, 3, f)
+
+
+def test_k6_refuted_by_the_majority_map():
+    # the star witness needs arity 7, past the extension CSP's envelope;
+    # K6 has no majority polymorphism, which also refutes PH
+    k6 = canonical_structure("graph", 6, list(itertools.combinations(
+        range(6), 2)), name="k6")
+    report = classify_graph(k6)
+    assert report.verdict == "NotPH"
+    assert report.witness_arity == 3
+    assert_verified_witness(k6, 3, report.witness)
 
 
 def test_isolated_vertex_witness_used_when_star_holds():
@@ -270,6 +281,16 @@ def test_strict_poset_agrees_with_generic_decision_on_two_points():
         assert decide_ph(p).status == classify_strict_poset(p).verdict
 
 
+def test_generic_decision_matches_every_classifier_on_four_points():
+    for classify, family in ((classify_graph, all_graphs),
+                             (classify_poset, all_posets),
+                             (classify_strict_poset, all_strict_posets)):
+        for A in family(4):
+            verdict = decide_ph(A)
+            assert verdict.status == classify(A, with_witness=False).verdict, \
+                A.name
+
+
 def test_strict_poset_witness_maps_into_a_minimal_element():
     chain = canonical_structure("strict_poset", 3, [(0, 1), (1, 2), (0, 2)],
                                 name="strict_chain3")
@@ -419,24 +440,3 @@ def test_classify_structure_dispatch():
     assert classify_structure(m3_structure()).family == "eq_lattice"
     assert classify_structure(FiniteStructure(
         2, [Relation("r", 3, {(0, 0, 1)})])) is None
-
-
-def test_rescue_witness_shapes():
-    family, claims_ph, witness, reason = rescue_witness(bowtie())
-    assert family == "poset"
-    assert not claims_ph
-    assert witness is not None
-    assert "poset classification" in reason
-    assert_verified_witness(bowtie(), witness.arity, witness)
-
-    family, claims_ph, witness, reason = rescue_witness(diamond())
-    assert family == "poset"
-    assert claims_ph
-    assert witness is None
-
-    assert rescue_witness(FiniteStructure(
-        2, [Relation("r", 3, {(0, 0, 1)})])) is None
-    # recognized family whose classifier rejects the family shape
-    open_family = canonical_structure(
-        "eq_lattice", 3, [[[0, 1], [2]], [[0, 2], [1]]], name="open_family")
-    assert rescue_witness(open_family) is None

@@ -22,7 +22,7 @@ def bowtie():
 
 
 def n5_fan():
-    # bottom 0 under 1,2,3 with 1 < 3, all under top 4: blocks instantly
+    # bottom 0 under 1,2,3 with 1 < 3, all under top 4: a PH lattice
     le = {(i, i) for i in range(5)}
     le |= {(0, i) for i in range(1, 5)}
     le |= {(i, 4) for i in range(1, 4)}
@@ -77,13 +77,13 @@ def test_decide_ph_definite_exits_zero(rel, capsys):
 
 
 def test_decide_ph_inconclusive_exits_one_without_a_verdict(rel, capsys):
-    code, env = run_json(capsys, ["decide-ph", rel(n5_fan())])
+    code, env = run_json(capsys, ["decide-ph", rel(n5_fan()),
+                                  "--node-budget", "1"])
     assert code == 1
     assert env["exit_code"] == 1
     assert env["result"]["status"] == "Inconclusive"
     assert env["result"].get("certificate") is None
-    assert "classification of the poset family indicates PH" \
-        in env["result"]["guidance"]
+    assert "POLYHOM_NODE_BUDGET" in env["result"]["guidance"]
 
 
 def test_missing_and_malformed_files_exit_two(tmp_path, capsys):

@@ -8,7 +8,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      check_finite_polylocal, cross_check_inv_pol,
                      enumerate_polymorphisms, gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
-from polyhom.galois import RelationFamily
+from polyhom.galois import QfAtoms, RelationFamily
 from polyhom.generate import all_graphs, all_n2_binary, all_posets
 
 from oracles import (oracle_gamma, oracle_invariant_relations,
@@ -39,6 +39,12 @@ def path3():
 def bowtie():
     le = {(i, i) for i in range(4)} | {(0, 2), (0, 3), (1, 2), (1, 3)}
     return FiniteStructure(4, [Relation("le", 2, le)], name="bowtie")
+
+
+def ternary2():
+    return FiniteStructure(
+        2, [Relation("r", 3, {(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 0)}),
+            Relation("u", 1, {(1,)})], name="ternary2")
 
 
 def table_values(ft):
@@ -117,12 +123,9 @@ def test_qf_type_closure_equals_partial_polymorphism_test():
     # b qualifies exactly when the row-to-b map is a well defined partial
     # polymorphism of arity |tau|; the three-point inputs exercise
     # coordinate equalities, and the ternary one arity-3 selections
-    ternary = FiniteStructure(
-        2, [Relation("r", 3, {(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 0)}),
-            Relation("u", 1, {(1,)})], name="ternary2")
     cases = ([(A, 2) for A in all_n2_binary()]
              + [(A, 2) for A in all_graphs(3) + all_posets(3)]
-             + [(ternary, 3)])
+             + [(ternary2(), 3)])
     for structure, m in cases:
         points = sorted(itertools.product(range(structure.size), repeat=m))
         for tau in nonempty_subsets(points, max_size=3):
@@ -141,6 +144,32 @@ def test_qf_type_closure_equals_partial_polymorphism_test():
                         structure, entries, len(tau)):
                     expected.add(b)
             assert got == expected, (structure.name, tau)
+
+
+def test_qf_atoms_covers_are_the_minimal_tuple_sets():
+    # brute force: group the nonempty tuple sets by qf-type closure, and
+    # keep each one whose one-smaller subsets all have larger closures
+    cases = ([(A, m) for A in all_n2_binary() for m in (1, 2, 3)]
+             + [(A, m) for A in all_graphs(3) + all_posets(3)
+                for m in (1, 2)]
+             + [(ternary2(), 3)])
+    for structure, m in cases:
+        points = sorted(itertools.product(range(structure.size), repeat=m))
+        qf = {frozenset(tau): frozenset(qf_type_closure(structure, tau))
+              for tau in nonempty_subsets(points)}
+        expected = {}
+        for tau, q in qf.items():
+            if len(tau) == 1 or all(qf[tau - {t}] != q for t in tau):
+                expected.setdefault(q, set()).add(tau)
+        atoms = QfAtoms(structure, m)
+        got = {}
+        for q, mask in atoms.qf_sets():
+            covers = atoms.covers(q, mask)
+            assert covers == sorted(covers,
+                                    key=lambda c: (c.bit_count(), c))
+            got[frozenset(atoms.decode(q))] = {
+                frozenset(atoms.decode(c)) for c in covers}
+        assert got == expected, (structure.name, m)
 
 
 def test_qf_type_closure_input_errors():

@@ -285,14 +285,65 @@ def test_decide_ph_singleton():
     assert v.status == "PH" and v.certificate["kind"] == "singleton"
 
 
+def chain(n):
+    return canonical_structure(
+        "poset", n, [(i, j) for i in range(n) for j in range(i, n)],
+        name="chain%d" % n)
+
+
+def m3_lattice():
+    le = [(i, i) for i in range(5)] + [(0, j) for j in range(1, 5)]
+    return canonical_structure("poset", 5, le + [(j, 4) for j in range(1, 4)],
+                               name="m3")
+
+
+def n5_lattice():
+    le = [(i, i) for i in range(5)] + [(0, j) for j in range(1, 5)]
+    le += [(j, 4) for j in range(1, 4)] + [(1, 3)]
+    return canonical_structure("poset", 5, le, name="n5")
+
+
 def test_decide_ph_known_verdicts():
+    from polyhom.crosscheck import verify_certificate
     limits = default_limits()
-    assert decide_ph(chain2(), limits).status == "PH"
-    assert decide_ph(k2(), limits).status == "PH"
-    assert decide_ph(path3(), limits).status == "NotPH"
-    v = decide_ph(bowtie(), limits)
-    assert v.status == "NotPH"
-    assert v.certificate["kind"] == "no_near_unanimity"
+    three_chains2 = canonical_structure(
+        "poset", 6, [(i, i) for i in range(6)] + [(0, 1), (2, 3), (4, 5)],
+        name="3chain2")
+    cases = [(chain2(), "PH"), (k2(), "PH"), (path3(), "NotPH"),
+             (bowtie(), "NotPH"),
+             # PH, and past the reach of a sweep over all tuple sets
+             (chain(5), "PH"),
+             (canonical_structure("graph", 5, [], name="empty5"), "PH"),
+             (canonical_structure("graph", 6, [(0, 1), (2, 3), (4, 5)],
+                                  name="3k2"), "PH"),
+             (m3_lattice(), "PH"), (n5_lattice(), "PH"),
+             (three_chains2, "NotPH")]
+    for A, expected in cases:
+        v = decide_ph(A, limits)
+        assert v.status == expected, A.name
+        if expected == "PH":
+            assert v.certificate["kind"] == "sweep_complete", A.name
+        assert verify_certificate(A, v.to_json(), limits)["ok"], A.name
+    assert decide_ph(bowtie(), limits).certificate["kind"] == \
+        "no_near_unanimity"
+
+
+# statuses of decide_ph on the 256 structures on {0,1} with one ternary
+# relation, relation mask i over the itertools.product order of {0,1}^3
+TERNARY_N2_STATUSES = (
+    "PPNPNPNNNPNNNNNPNPNNNNNNPPNNNNNPNPNNPPNNNNNNNNNNNNNPNNNPNNNNPNNP"
+    "NPPPNNNNNNNNNNNNNNNNNPNPNNPNNNNPNNNNNNPNNNNNNNNNNNNNNNNPNNNNNNNP"
+    "PPPPPPNNPPNPNPNPPPNNNNNNPPNNNNNNPPNPPPNNNNPPNNNPNPNPNNNNNNNPNNNN"
+    "PPPPNPNNNNNNPPNPNPNNNPNNNNNNNPNNNNNNNNNNNNPNPNPNPPNPNPNNPNPNPNPP")
+
+
+def test_decide_ph_two_element_ternary_statuses():
+    points = list(itertools.product(range(2), repeat=3))
+    got = ""
+    for mask in range(256):
+        rel = {t for i, t in enumerate(points) if mask >> i & 1}
+        got += decide_ph(FiniteStructure(2, [Relation("r", 3, rel)])).status[0]
+    assert got == TERNARY_N2_STATUSES
 
 
 def test_decide_ph_nu_necessity():
@@ -317,14 +368,13 @@ def test_decide_ph_certificates_reverify():
 
 
 def test_decide_ph_full_diamond_sweep():
-    # the 4-point lattice sweeps all 65,535 tuple sets at m = 2; nearly
-    # every candidate image is inherited from a smaller tuple set
+    # 1 qf-closed set at m = 1 and 4 at m = 2; a cover after the first
+    # verified one of its set only checks that cover's images
     v = decide_ph(diamond())
     assert v.status == "PH"
     assert v.certificate["kind"] == "sweep_complete"
-    assert v.certificate["stats"] == {"tau_checked": 65550,
-                                      "candidates": 1041496,
-                                      "cache_hits": 1041292}
+    assert v.certificate["stats"] == {"qf_sets": 5, "covers": 45,
+                                      "extendable_calls": 77}
     assert not v.blocked
 
 
@@ -341,25 +391,15 @@ def test_decide_ph_wall_budget_is_one_deadline():
 
 
 def test_decide_ph_inconclusive_when_sweep_is_capped():
-    # the diamond is a lattice (so actually PH), but a tight tuple-set cap
-    # blocks the m=2 sweep; classification may only add guidance, never a
-    # PH verdict
-    v = decide_ph(diamond(), tau_subset_cap=1000)
+    # the diamond is a lattice (so actually PH), but a one-node budget
+    # blocks the sweep's extension CSPs; that yields no verdict
+    v = decide_ph(diamond(), SearchLimits(node_budget=1))
     assert v.status == "Inconclusive"
     assert v.certificate is None
     assert v.blocked
-    assert "classification of the poset family indicates PH" in v.guidance
-
-
-def test_decide_ph_envelope_guidance_on_large_poset():
-    le = [(i, i) for i in range(5)]
-    le += [(0, j) for j in range(1, 5)] + [(j, 4) for j in range(1, 4)]
-    le.append((1, 3))
-    n5 = canonical_structure("poset", 5, le, name="n5")
-    v = decide_ph(n5, default_limits())
-    assert v.status == "Inconclusive"
-    assert v.certificate is None
-    assert "classification of the poset family indicates PH" in v.guidance
+    assert all(b["step"] == "sweep" and b["reason"] == "node_budget"
+               for b in v.blocked)
+    assert "POLYHOM_NODE_BUDGET" in v.guidance
 
 
 def test_decide_ph_budget_one_can_still_refute_soundly():
@@ -371,10 +411,9 @@ def test_decide_ph_budget_one_can_still_refute_soundly():
     assert verify_certificate(bowtie(), v.to_json())["ok"]
 
 
-def test_decide_ph_classification_rescue_not_trusted_blindly(monkeypatch):
-    # rescue witnesses must re-verify; with every extendability check
-    # knocked out the classification's NotPH claim cannot be confirmed and
-    # the verdict stays Inconclusive
+def test_decide_ph_blocked_candidates_stay_inconclusive(monkeypatch):
+    # with every extendability check knocked out nothing can be certified,
+    # and the verdict stays Inconclusive
     import polyhom.homogeneity as hm
 
     def refuse(*args, **kwargs):
@@ -388,4 +427,4 @@ def test_decide_ph_classification_rescue_not_trusted_blindly(monkeypatch):
     assert [(b["step"], b.get("m"), b["reason"]) for b in v.blocked] == [
         ("nu", None, "envelope"), ("sweep", 1, "envelope"),
         ("sweep", 2, "envelope")]
-    assert v.blocked[2]["count"] > 1_000_000
+    assert v.blocked[2]["count"] == 352
