@@ -402,6 +402,19 @@ def test_decide_ph_inconclusive_when_sweep_is_capped():
     assert "POLYHOM_NODE_BUDGET" in v.guidance
 
 
+def test_decide_ph_envelope_guidance_on_large_poset():
+    # N5 is PH (see the known verdicts), but with a one-node budget no
+    # certificate can be built; the guidance names the budgets and points
+    # to family classification instead of giving an uncertified verdict
+    v = decide_ph(n5_lattice(), SearchLimits(node_budget=1))
+    assert v.status == "Inconclusive"
+    assert v.certificate is None
+    assert {b["step"] for b in v.blocked} == {"nu", "sweep"}
+    assert all(b["reason"] == "node_budget" for b in v.blocked)
+    assert "POLYHOM_NODE_BUDGET" in v.guidance
+    assert "family classification" in v.guidance
+
+
 def test_decide_ph_budget_one_can_still_refute_soundly():
     # refutations proven by root propagation alone consume no nodes, so a
     # starved budget may still produce a (valid) negative certificate
