@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
-                         StructureError, power)
+                         StructureError, cylinder, power, tuple_set)
 from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
                      enumerate_solutions)
 from .homogeneity import FunctionTable, extendable
@@ -206,14 +206,7 @@ class QfAtoms:
         """The points whose coordinate i is a."""
         out = self._cylinders.get((i, a))
         if out is None:
-            block = self.n ** (self.m - 1 - i)
-            out = ((1 << block) - 1) << (a * block)
-            period = self.n * block
-            while period < self.size:
-                out |= out << period
-                period <<= 1
-            out &= self.full
-            self._cylinders[(i, a)] = out
+            out = self._cylinders[(i, a)] = cylinder(self.n, self.m, i, a)
         return out
 
 
@@ -323,7 +316,7 @@ class RelationFamily:
     members: tuple  # of frozensets of tuples
 
     def __post_init__(self):
-        canon = sorted((frozenset(map(tuple, s)) for s in self.members),
+        canon = sorted((tuple_set(s) for s in self.members),
                        key=lambda s: (len(s), sorted(s)))
         object.__setattr__(self, "members", tuple(canon))
 

@@ -18,12 +18,10 @@ import itertools
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
                          StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import (ExtensionProblem, _bits, default_limits, solve,
+from .search import (ExtensionProblem, _bits, _lowest, default_limits, solve,
                      MAX_CSP_VARS)
 
 # row-selection cap for the partial polymorphism check
@@ -115,8 +113,10 @@ def _term_json(tree):
 
 
 def is_partial_polymorphism(structure, f):
-    """Matrix criterion: returns (ok, violation) where violation names the
-    relation, the selected domain rows, and the offending image tuple."""
+    """Whether f preserves every relation on its domain rows: returns (ok,
+    violation) where violation names the relation, the selected domain
+    rows, and the offending image tuple; for a binary relation, the first
+    violating pair of rows in row-major order."""
     if f.size != structure.size:
         raise StructureError("map carrier size %d differs from structure %d"
                              % (f.size, structure.size))
@@ -124,34 +124,46 @@ def is_partial_polymorphism(structure, f):
     if not dom:
         return True, None
     k = f.arity
-    vals = [f(r) for r in dom]
+    vals = [v for _, v in f.entries]
     p = len(dom)
-    dmat = np.array(dom, dtype=np.int64)  # (p, k)
-    varr = np.array(vals, dtype=np.int64)
     for rel in structure.relations:
         r = rel.arity
         if not rel.tuples:
             continue
         if r == 1:
             member = {t[0] for t in rel.tuples}
-            for i in range(p):
-                if all(dmat[i, j] in member for j in range(k)):
-                    if vals[i] not in member:
-                        return False, (rel.name, (dom[i],), (vals[i],))
+            for row, val in zip(dom, vals):
+                if val not in member and all(x in member for x in row):
+                    return False, (rel.name, (row,), (val,))
         elif r == 2:
-            B = np.zeros((structure.size, structure.size), dtype=bool)
+            # row bitsets: rows_to(column)[x] holds the rows whose entry in
+            # column is a successor of x, so the rows related to row u are
+            # the AND over coordinates j of rows_to(column j)[u_j]
+            succ = [[] for _ in range(structure.size)]
             for a, b in rel.tuples:
-                B[a, b] = True
-            sel = np.ones((p, p), dtype=bool)
-            for j in range(k):
-                col = dmat[:, j]
-                sel &= B[col[:, None], col[None, :]]
-            img_ok = B[varr[:, None], varr[None, :]]
-            bad = sel & ~img_ok
-            if bad.any():
-                u, v = np.argwhere(bad)[0]
-                return False, (rel.name, (dom[int(u)], dom[int(v)]),
-                               (vals[int(u)], vals[int(v)]))
+                succ[a].append(b)
+
+            def rows_to(column):
+                where = [0] * structure.size
+                for i, y in enumerate(column):
+                    where[y] |= 1 << i
+                out = []
+                for ys in succ:
+                    m = 0
+                    for y in ys:
+                        m |= where[y]
+                    out.append(m)
+                return out
+
+            coords = [rows_to(col) for col in zip(*dom)]
+            images = rows_to(vals)
+            for u, row in enumerate(dom):
+                bad = ~images[vals[u]]
+                for j, x in enumerate(row):
+                    bad &= coords[j][x]
+                if bad:
+                    v = _lowest(bad)
+                    return False, (rel.name, (row, dom[v]), (vals[u], vals[v]))
         else:
             if p ** r > PP_COMBO_CAP:
                 raise EnvelopeError(
@@ -160,7 +172,7 @@ def is_partial_polymorphism(structure, f):
             for sel in itertools.product(range(p), repeat=r):
                 ok = True
                 for j in range(k):
-                    if tuple(dmat[i, j] for i in sel) not in rel.tuples:
+                    if tuple(dom[i][j] for i in sel) not in rel.tuples:
                         ok = False
                         break
                 if ok:
@@ -224,7 +236,7 @@ def extendable(structure, f, limits=None):
         return ExtendResult("extendable", witness, {"route": "projection"})
     g, column_map = reduce_columns(f)
     rows = g.domain
-    vals = tuple(g(r) for r in rows)
+    vals = tuple(v for _, v in g.entries)
     kept_first = [column_map.index(j) for j in range(g.arity)]
     for j in range(g.arity):
         if all(r[j] == v for r, v in zip(rows, vals)):
@@ -240,7 +252,7 @@ def extendable(structure, f, limits=None):
         raise EnvelopeError(
             "the extension CSP needs %d variables" % (n ** l,))
     handle = power(structure, l)
-    pins = {handle.encode(r): g(r) for r in rows}
+    pins = {handle.encode(r): v for r, v in g.entries}
     out = solve(ExtensionProblem(handle, structure, pins), limits)
     detail = {"route": "csp", "csp_vars": handle.size, "nodes": out.nodes}
     if out.found:
@@ -683,17 +695,16 @@ def decide_ph(structure, limits=None):
             if not ok:
                 raise RuntimeError("internal error: sweep produced a "
                                    "non-partial-polymorphism candidate")
+            tau, b = [list(t) for t in tau], list(b)
             cert = {
                 "kind": "non_extendable_map",
                 "m": m,
-                "tau": [list(t) for t in tau],
-                "image": list(b),
+                "tau": tau,
+                "image": b,
                 "map": f.to_json(),
                 "evidence": res.detail,
             }
-            trace.append({"step": "sweep", "m": m,
-                          "tau": [list(t) for t in tau],
-                          "image": list(b),
+            trace.append({"step": "sweep", "m": m, "tau": tau, "image": b,
                           "outcome": "not_extendable"})
             note = None
             if blocked:

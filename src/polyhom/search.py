@@ -1,33 +1,34 @@
 """Homomorphism-extension search over explicit structures and lazy powers.
 
 An ExtensionProblem asks for a homomorphism source -> target agreeing with
-a set of pinned values. Power sources are handled digitwise: a pair (u, v)
-of power elements is related iff every digit pair is related in the base,
-so neighbor sets are computed by vectorized digit lookups and product
-relations are never enumerated during search.
+a set of pinned values. Power sources are handled digitwise: (u, v) is
+related iff every digit pair is related in the base, so the neighbours of
+u are an AND of one precomputed bitset per digit.
 
-Search is depth-first over domain bitmasks with trail-based undo, smallest
-domain first, values ascending. Propagation is arc consistency on binary
-constraints. Relations of arity >= 3 use incident-tuple forward checking;
-every variable that becomes a singleton triggers its incident checks, so
-complete assignments satisfy all constraints. Found results are
-re-verified independently before they are returned, and a verification
-mismatch is a hard error, never a silent answer.
+Domains are bit-sliced: plane b is a Python int whose bit v says variable
+v may still take value b, so a revision removes a value from a whole
+neighbour set with a few big-int ANDs (Lecoutre and Vion, CP Letters
+2008). The trail stores diffs (b, lowest bit, removed bits shifted down).
+Search is depth-first, smallest domain first, values ascending; binary
+constraints are kept arc consistent, and relations of arity >= 3 are
+checked on their tuples each time a variable becomes a singleton. The
+queues are bitsets; the fixpoint does not depend on their order.
+
+Found maps are re-verified by code that shares no tables with the search:
+on a power, each value's preimage is pushed through the base relation one
+digit at a time and must not reach a value the target relation forbids.
+A verification mismatch is a hard error, never a silent answer.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .structures import (EnvelopeError, FiniteStructure, PowerHandle,
-                         StructureError)
+                         StructureError, cylinder)
 
 # Envelope caps: variable count of one extension CSP, dense-power handling
 # of arity >= 3 relations, and re-verification work for found maps.
@@ -149,33 +150,67 @@ def _bits(mask):
         mask ^= low
 
 
-class _BinaryConstraint:
-    """One binary relation, digitwise over the (possibly trivial) power."""
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
-    __slots__ = ("name", "src_rows", "src_cols", "row_allow", "col_allow",
-                 "row_ne", "col_ne", "full_row_union", "full_col_union")
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _cylinders(n, k):
+    """cyl[j][a]: the codes of n^k whose digit j is a."""
+    return [[cylinder(n, k, j, a) for a in range(n)] for j in range(k)]
+
+
+def _within(cyl, everything, elements):
+    """The codes all of whose digits lie in elements."""
+    out = everything
+    for row in cyl:
+        out &= _union(row[a] for a in elements)
+    return out
+
+
+def _value_planes(mapping, nvars, nt):
+    """Bitsets of the preimages of each target value, and the value list."""
+    try:
+        vals = [int(mapping[v]) for v in range(nvars)]
+    except (KeyError, IndexError):
+        vals = [-1]
+    if min(vals) < 0 or (not isinstance(mapping, dict)
+                         and len(mapping) != nvars):
+        raise ValueError("mapping must cover all %d source elements" % nvars)
+    if max(vals) >= nt:
+        raise ValueError("mapping has values outside the target carrier")
+    # one character per element, highest element first: a value's preimage
+    # reads as a binary numeral once its character becomes "1"
+    text = "".join(map(chr, reversed(vals)))
+    present = set(vals)
+    return [int(text.translate({x: 48 + (x == a) for x in present}), 2)
+            if a in present else 0 for a in range(nt)], vals
+
+
+class _BinaryConstraint:
+    """One binary relation: base adjacency and target support masks."""
+
+    __slots__ = ("name", "succ", "pred", "row_allow", "col_allow")
 
     def __init__(self, name, base_rel, target_rel, n_base, n_target):
         self.name = name
-        rows = np.zeros((n_base, n_base), dtype=bool)
-        for a, b in base_rel.tuples:
-            rows[a, b] = True
-        self.src_rows = rows
-        self.src_cols = rows.T.copy()
+        self.succ = [[] for _ in range(n_base)]
+        self.pred = [[] for _ in range(n_base)]
+        for a, b in sorted(base_rel.tuples):
+            self.succ[a].append(b)
+            self.pred[b].append(a)
         # row_allow[a] = bitmask of target successors of a
         self.row_allow = [0] * n_target
         self.col_allow = [0] * n_target
         for a, b in target_rel.tuples:
             self.row_allow[a] |= 1 << b
             self.col_allow[b] |= 1 << a
-        self.row_ne = rows.any(axis=1)  # base element has a successor
-        self.col_ne = rows.any(axis=0)
-        self.full_row_union = 0
-        for m in self.row_allow:
-            self.full_row_union |= m
-        self.full_col_union = 0
-        for m in self.col_allow:
-            self.full_col_union |= m
 
     def succ_allowed(self, mask):
         out = 0
@@ -193,11 +228,12 @@ class _BinaryConstraint:
 class _HighArityConstraint:
     """One relation of arity >= 3 on an explicit source."""
 
-    __slots__ = ("name", "tuples", "target", "incident")
+    __slots__ = ("name", "tuples", "members", "target", "incident")
 
     def __init__(self, name, src_tuples, target_tuples):
         self.name = name
         self.tuples = [tuple(t) for t in sorted(src_tuples)]
+        self.members = [sorted(set(t)) for t in self.tuples]
         self.target = frozenset(target_tuples)
         self.incident = {}
         for i, t in enumerate(self.tuples):
@@ -224,18 +260,23 @@ class _Context:
                 "target size %d exceeds bitmask width %d" % (self.nt, MAX_TARGET_SIZE))
 
         n = base.size
-        codes = np.arange(nvars, dtype=np.int64)
-        digs = []
-        for _ in range(exponent):
-            digs.append((codes % n).astype(np.int16))
-            codes //= n
-        digs.reverse()  # digs[j] = j-th coordinate, big-endian
-        self.dig = digs
-
+        everything = self.all_vars = (1 << nvars) - 1
+        cyl = _cylinders(n, exponent)
         self.static_unsat = None
         self.binary = []
+        self.unary = []  # (name, member vars, allowed target values)
         self.high = []
-        domains = np.full(nvars, self.full_mask, dtype=np.uint32)
+        # per-binary-constraint neighbour sets: out_ind[ci][j][a] holds the
+        # codes whose digit j is a base-successor of a, so the successors
+        # of u are the AND over j of out_ind[ci][j][u_j]; in_ind dually
+        self.out_ind = []
+        self.in_ind = []
+        planes = [everything] * self.nt
+
+        def prune(vars_, allowed):
+            for b in range(self.nt):
+                if not allowed >> b & 1:
+                    planes[b] &= ~vars_
 
         for rel in base.relations:
             trel = target.relation_map[rel.name]
@@ -243,47 +284,40 @@ class _Context:
                 continue  # no source constraints
             if len(trel.tuples) == self.nt ** rel.arity:
                 continue  # target relation is full: vacuous
+            if rel.arity == 1:
+                tmask = 0
+                for (b,) in trel.tuples:
+                    tmask |= 1 << b
+                member = _within(cyl, everything, [a for (a,) in rel.tuples])
+                self.unary.append((rel.name, member, tmask))
             if not trel.tuples:
                 self.static_unsat = ("relation %s is empty in the target but "
                                      "nonempty in the source" % rel.name)
                 continue
             if rel.arity == 1:
-                tmask = 0
-                for (b,) in trel.tuples:
-                    tmask |= 1 << b
-                member = np.ones(nvars, dtype=bool)
-                base_in = np.zeros(n, dtype=bool)
-                for (a,) in rel.tuples:
-                    base_in[a] = True
-                for j in range(exponent):
-                    member &= base_in[self.dig[j]]
-                domains[member] &= np.uint32(tmask)
+                prune(member, tmask)
             elif rel.arity == 2:
                 con = _BinaryConstraint(rel.name, rel, trel, n, self.nt)
                 self.binary.append(con)
-                # static prune: any var with an in-neighbor must map into the
-                # union of target rows, dually for out-neighbors
-                if con.full_row_union != self.full_mask:
-                    has_in = np.ones(nvars, dtype=bool)
-                    for j in range(exponent):
-                        has_in &= con.col_ne[self.dig[j]]
-                    domains[has_in] &= np.uint32(con.full_row_union)
-                if con.full_col_union != self.full_mask:
-                    has_out = np.ones(nvars, dtype=bool)
-                    for j in range(exponent):
-                        has_out &= con.row_ne[self.dig[j]]
-                    domains[has_out] &= np.uint32(con.full_col_union)
-                # self-loop prune
-                loop_mask = 0
-                for a in range(self.nt):
-                    if con.row_allow[a] >> a & 1:
-                        loop_mask |= 1 << a
-                if loop_mask != self.full_mask:
-                    diag = np.diagonal(con.src_rows).copy()
-                    selfrel = np.ones(nvars, dtype=bool)
-                    for j in range(exponent):
-                        selfrel &= diag[self.dig[j]]
-                    domains[selfrel] &= np.uint32(loop_mask)
+                self.out_ind.append(
+                    [[_within([row], everything, con.succ[a]) for a in range(n)]
+                     for row in cyl])
+                self.in_ind.append(
+                    [[_within([row], everything, con.pred[b]) for b in range(n)]
+                     for row in cyl])
+                # static prunes: a var with an in-neighbor maps into the
+                # union of target rows, dually for out-neighbors, and a var
+                # related to itself maps to a target loop
+                loops = _union(1 << b for b in range(self.nt)
+                               if con.row_allow[b] >> b & 1)
+                for elements, allowed in (
+                        ([a for a in range(n) if con.pred[a]],
+                         con.succ_allowed(self.full_mask)),
+                        ([a for a in range(n) if con.succ[a]],
+                         con.pred_allowed(self.full_mask)),
+                        ([a for a in range(n) if a in con.succ[a]], loops)):
+                    if allowed != self.full_mask:
+                        prune(_within(cyl, everything, elements), allowed)
             else:
                 if exponent != 1:
                     raise EnvelopeError(
@@ -306,29 +340,11 @@ class _Context:
                         "relation %s needs %d verification combinations (cap %d)"
                         % (rel.name, combos, MAX_VERIFY_COMBOS))
 
-        self.initial_domains = domains
-        if self.static_unsat is None and (domains == 0).any():
-            first = int(np.flatnonzero(domains == 0)[0])
-            self.static_unsat = ("variable %d has no admissible value" % first)
-
-        # per-digit neighbor indicators: out_ind[ci][j][a][v] says digit j of
-        # v is a base-successor of a, so a neighbor mask is k row ANDs
-        # instead of k fancy-indexing passes
-        bytes_needed = 2 * len(self.binary) * exponent * n * nvars
-        self.out_ind = None
-        self.in_ind = None
-        if self.binary and bytes_needed <= (192 << 20):
-            self.out_ind = []
-            self.in_ind = []
-            for con in self.binary:
-                out_j = np.empty((exponent, n, nvars), dtype=bool)
-                in_j = np.empty((exponent, n, nvars), dtype=bool)
-                for j in range(exponent):
-                    for a in range(n):
-                        out_j[j, a] = con.src_rows[a][self.dig[j]]
-                        in_j[j, a] = con.src_cols[a][self.dig[j]]
-                self.out_ind.append(out_j)
-                self.in_ind.append(in_j)
+        self.initial_planes = tuple(planes)
+        empty = everything & ~_union(planes)
+        if self.static_unsat is None and empty:
+            self.static_unsat = ("variable %d has no admissible value"
+                                 % _lowest(empty))
 
     def decode(self, code):
         n = self.base.size
@@ -338,31 +354,19 @@ class _Context:
             code //= n
         return tuple(out)
 
-    def nb_mask(self, u, ci, outgoing):
-        """Boolean array over vars: digitwise relation neighbors of u.
-
-        Read-only for callers; may alias precomputed rows when exponent is 1.
-        """
+    def neighbours(self, u, ci, outgoing):
+        """Bitset of the digitwise relation neighbours of u."""
+        rows = (self.out_ind if outgoing else self.in_ind)[ci]
         digits = self.decode(u)
-        ind = (self.out_ind if outgoing else self.in_ind)
-        if ind is not None:
-            rows = ind[ci]
-            if self.exponent == 1:
-                return rows[0, digits[0]]
-            mask = rows[0, digits[0]].copy()
-            for j in range(1, self.exponent):
-                mask &= rows[j, digits[j]]
-            return mask
-        con = self.binary[ci]
-        mask = np.ones(self.nvars, dtype=bool)
-        mat = con.src_rows if outgoing else con.src_cols
-        for j in range(self.exponent):
-            mask &= mat[digits[j]][self.dig[j]]
-        return mask
+        nb = rows[0][digits[0]]
+        for j in range(1, self.exponent):
+            nb &= rows[j][digits[j]]
+        return nb
 
 
-# a context can hold megabytes of indicator arrays; the callers reuse
-# only a few (base, exponent, target) triples at a time
+# a context holds two neighbour sets of n^k bits per digit, base element
+# and binary relation; the callers reuse only a few (base, exponent,
+# target) triples at a time
 @lru_cache(maxsize=8)
 def _context(base, exponent, target):
     return _Context(base, exponent, target)
@@ -382,34 +386,39 @@ def _normalize_problem(problem):
     return source, 1, problem.target, source
 
 
-def _check_pins_direct(ctx, source, pins):
+def _pin_planes(pins, nt):
+    """by_value[b]: the variables pinned to b."""
+    by_value = [0] * nt
+    for var, val in pins:
+        by_value[val] |= 1 << var
+    return by_value
+
+
+def _check_pins_direct(ctx, pins):
     """Reject pins that violate a constraint all of whose variables are
     pinned; raised before any search is attempted."""
     pinned = dict(pins)
-    for con in ctx.binary:
-        items = list(pinned.items())
-        for (u, a) in items:
-            du = ctx.decode(u)
-            for (v, b) in items:
-                dv = ctx.decode(v)
-                if all(con.src_rows[du[j], dv[j]]
-                       for j in range(ctx.exponent)):
-                    if not (con.row_allow[a] >> b & 1):
-                        raise InconsistentPinsError(
-                            "pins map source %s-edge (%d,%d) to non-edge (%d,%d)"
-                            % (con.name, u, v, a, b))
-    for rel in ctx.base.relations:
-        if rel.arity != 1 or not rel.tuples:
-            continue
-        trel = ctx.target.relation_map[rel.name]
-        if len(trel.tuples) == ctx.nt:
-            continue
-        tset = {b for (b,) in trel.tuples}
-        for u, a in pinned.items():
-            du = ctx.decode(u)
-            if all((d,) in rel.tuples for d in du) and a not in tset:
-                raise InconsistentPinsError(
-                    "pin %d->%d violates unary relation %s" % (u, a, rel.name))
+    by_value = _pin_planes(pins, ctx.nt)
+
+    def pinned_outside(allowed):
+        return _union(by_value[b] for b in _bits(ctx.full_mask & ~allowed))
+
+    for ci, con in enumerate(ctx.binary):
+        for u, a in pins:
+            off = pinned_outside(con.row_allow[a])
+            if off:
+                hit = ctx.neighbours(u, ci, True) & off
+                if hit:
+                    v = _lowest(hit)
+                    raise InconsistentPinsError(
+                        "pins map source %s-edge (%d,%d) to non-edge (%d,%d)"
+                        % (con.name, u, v, a, pinned[v]))
+    for name, member, tmask in ctx.unary:
+        hit = member & pinned_outside(tmask)
+        if hit:
+            u = _lowest(hit)
+            raise InconsistentPinsError(
+                "pin %d->%d violates unary relation %s" % (u, pinned[u], name))
     for con in ctx.high:
         for t in con.tuples:
             if all(v in pinned for v in t):
@@ -449,146 +458,173 @@ class _Budget:
 class _Search:
     def __init__(self, ctx, pins):
         self.ctx = ctx
-        self.domains = ctx.initial_domains.copy()
+        self.planes = list(ctx.initial_planes)
         self.trail = []
-        for var, val in pins:
-            self.domains[var] &= np.uint32(1 << val)
+        self.queue = 0  # variables whose domain shrank since last revised
+        self.singles = 0  # variables that became singletons
+        by_value = _pin_planes(pins, ctx.nt)
+        pinned = _union(by_value)
+        for b in range(ctx.nt):
+            self.planes[b] &= ~(pinned ^ by_value[b])
+
+    def domain(self, bit):
+        """The values of the variable with bitset bit, as a mask."""
+        d = 0
+        for b, p in enumerate(self.planes):
+            if p & bit:
+                d |= 1 << b
+        return d
 
     def undo_to(self, marker):
         trail = self.trail
-        domains = self.domains
+        planes = self.planes
         while len(trail) > marker:
-            var, old = trail.pop()
-            domains[var] = old
+            b, low, bits = trail.pop()
+            planes[b] |= bits << low
 
-    def _prune_var(self, var, allowed, singles, binq):
-        old = int(self.domains[var])
-        new = old & allowed
-        if new == old:
-            return True
-        self.trail.append((var, old))
-        self.domains[var] = new
-        if new == 0:
+    def _remove(self, b, hit):
+        self.planes[b] ^= hit
+        low = _lowest(hit)
+        self.trail.append((b, low, hit >> low))
+
+    def _settle(self, changed):
+        """Fail if a changed variable has no value left; queue the rest."""
+        one = two = 0
+        for p in self.planes:
+            q = p & changed
+            two |= one & q
+            one |= q
+        if one != changed:
             return False
-        if new & (new - 1) == 0:
-            singles.append(var)
-        binq.append(var)
+        self.singles |= changed ^ two
+        self.queue |= changed
         return True
 
-    def _revise_from(self, u, singles, binq):
+    def _prune_var(self, var, allowed):
+        bit = 1 << var
+        gone = self.domain(bit) & ~allowed
+        for b in _bits(gone):
+            self._remove(b, bit)
+        return not gone or self._settle(bit)
+
+    def _revise(self, nb, allowed):
+        changed = 0
+        planes = self.planes
+        for b in _bits(self.ctx.full_mask & ~allowed):
+            hit = planes[b] & nb
+            if hit:
+                self._remove(b, hit)
+                changed |= hit
+        return not changed or self._settle(changed)
+
+    def _revise_from(self, u, du):
         ctx = self.ctx
-        domains = self.domains
-        du = int(domains[u])
         if du == ctx.full_mask:
             return True  # full-domain revisions were applied statically
         for ci, con in enumerate(ctx.binary):
-            allowed = con.succ_allowed(du)
-            if allowed != ctx.full_mask:
-                nb = ctx.nb_mask(u, ci, outgoing=True)
-                if not self._revise_set(nb, allowed, singles, binq):
-                    return False
-            allowed = con.pred_allowed(du)
-            if allowed != ctx.full_mask:
-                nb = ctx.nb_mask(u, ci, outgoing=False)
-                if not self._revise_set(nb, allowed, singles, binq):
+            for outgoing, allowed in ((True, con.succ_allowed(du)),
+                                      (False, con.pred_allowed(du))):
+                if allowed != ctx.full_mask and not self._revise(
+                        ctx.neighbours(u, ci, outgoing), allowed):
                     return False
         return True
 
-    def _revise_set(self, nb, allowed, singles, binq):
-        domains = self.domains
-        masked = domains & np.uint32(allowed)
-        changed = nb & (masked != domains)
-        idx = np.flatnonzero(changed)
-        if idx.size == 0:
-            return True
-        old_vals = domains[idx].tolist()
-        new_vals = masked[idx]
-        domains[idx] = new_vals
-        trail = self.trail
-        ok = True
-        new_list = new_vals.tolist()
-        for var, old, new in zip(idx.tolist(), old_vals, new_list):
-            trail.append((var, old))
-            if new == 0:
-                ok = False
-            elif new & (new - 1) == 0:
-                singles.append(var)
-        if not ok:
-            return False
-        binq.extend(idx.tolist())
-        return True
-
-    def _check_singleton(self, v, singles, binq):
+    def _check_singleton(self, v):
         """Incident arity >= 3 tuples of a freshly singleton variable."""
-        ctx = self.ctx
-        domains = self.domains
-        for con in ctx.high:
+        doms = {}  # domains read so far, kept current through prunes
+        for con in self.ctx.high:
             for ti in con.incident.get(v, ()):
                 t = con.tuples[ti]
-                unassigned = [w for w in sorted(set(t))
-                              if int(domains[w]) & (int(domains[w]) - 1)]
+                for x in con.members[ti]:
+                    if x not in doms:
+                        doms[x] = self.domain(1 << x)
+                unassigned = [w for w in con.members[ti]
+                              if doms[w] & (doms[w] - 1)]
                 if len(unassigned) > 1:
                     continue
                 if not unassigned:
-                    image = tuple(int(domains[w]).bit_length() - 1 for w in t)
+                    image = tuple(doms[x].bit_length() - 1 for x in t)
                     if image not in con.target:
                         return False
                     continue
                 w = unassigned[0]
                 allowed = 0
-                fixed = {x: int(domains[x]).bit_length() - 1
-                         for x in set(t) if x != w}
-                for b in _bits(int(domains[w])):
+                fixed = {x: doms[x].bit_length() - 1 for x in con.members[ti]}
+                for b in _bits(doms[w]):
                     fixed[w] = b
                     if tuple(fixed[x] for x in t) in con.target:
                         allowed |= 1 << b
-                if not self._prune_var(w, allowed, singles, binq):
+                if not self._prune_var(w, allowed):
+                    return False
+                doms[w] &= allowed
+        return True
+
+    def propagate(self, queue, singles):
+        """Revise from the queued variables to arc consistency."""
+        self.queue = queue
+        self.singles = singles
+        while self.queue or self.singles:
+            while self.singles:
+                low = self.singles & -self.singles
+                self.singles ^= low
+                v = low.bit_length() - 1
+                if not self._check_singleton(v):
+                    return False
+                if not self._revise_from(v, self.domain(low)):
+                    return False
+            if self.queue:
+                low = self.queue & -self.queue
+                self.queue ^= low
+                du = self.domain(low)
+                if du & (du - 1) == 0:
+                    continue  # singletons already revised above
+                if not self._revise_from(low.bit_length() - 1, du):
                     return False
         return True
 
-    def propagate(self, changed_vars):
-        """Revise from changed vars to arc consistency."""
-        domains = self.domains
-        binq = deque(changed_vars)
-        singles = deque(v for v in changed_vars
-                        if int(domains[v]) & (int(domains[v]) - 1) == 0)
-        while binq or singles:
-            while singles:
-                v = singles.popleft()
-                if not self._check_singleton(v, singles, binq):
-                    return False
-                if not self._revise_from(v, singles, binq):
-                    return False
-            if binq:
-                u = binq.popleft()
-                if int(domains[u]) & (int(domains[u]) - 1) == 0:
-                    continue  # singletons already revised above
-                if not self._revise_from(u, singles, binq):
-                    return False
-        return True
+    def _at_least_two(self):
+        one = two = 0
+        for p in self.planes:
+            two |= one & p
+            one |= p
+        return one, two
 
     def root_propagate(self):
-        if (self.domains == 0).any():
+        one, two = self._at_least_two()
+        if one != self.ctx.all_vars:
             return False
-        return self.propagate(
-            np.flatnonzero(self.domains != self.ctx.full_mask).tolist())
+        common = self.ctx.all_vars
+        for p in self.planes:
+            common &= p
+        changed = self.ctx.all_vars ^ common
+        return self.propagate(changed, changed & ~two)
 
     def select_dynamic(self):
-        sizes = np.bitwise_count(self.domains).astype(np.int32)
-        sizes[sizes == 1] = 1 << 20
-        var = int(np.argmin(sizes))
-        if sizes[var] == 1 << 20:
-            return None
-        return var
+        # at[s]: the variables with at least s values
+        nt = self.ctx.nt
+        at = [self.ctx.all_vars] + [0] * (nt + 1)
+        for i, p in enumerate(self.planes):
+            for s in range(i + 1, 0, -1):
+                at[s] |= at[s - 1] & p
+        for s in range(2, nt + 1):
+            exact = at[s] & ~at[s + 1]
+            if exact:
+                return _lowest(exact)
+        return None
 
     def select_static(self):
-        sizes = np.bitwise_count(self.domains)
-        idx = np.flatnonzero(sizes > 1)
-        return int(idx[0]) if idx.size else None
+        two = self._at_least_two()[1]
+        return _lowest(two) if two else None
 
     def extract(self):
-        logs = np.rint(np.log2(self.domains.astype(np.float64))).astype(np.int64)
-        return {int(v): int(logs[v]) for v in range(self.ctx.nvars)}
+        vals = [0] * self.ctx.nvars
+        for b, p in enumerate(self.planes):
+            bits = bin(p)[:1:-1]  # bit v is character v
+            v = bits.find("1")
+            while v >= 0:
+                vals[v] = b
+                v = bits.find("1", v + 1)
+        return dict(enumerate(vals))
 
     def run(self, budget, static_order=False, on_solution=None):
         """DFS to first solution, or all solutions via on_solution callback.
@@ -602,7 +638,7 @@ class _Search:
             if on_solution is None:
                 return "found"
             return "stopped" if on_solution() is False else "unsat"
-        frames = [[var, list(_bits(int(self.domains[var]))), 0, len(self.trail)]]
+        frames = [[var, list(_bits(self.domain(1 << var))), 0, len(self.trail)]]
         while frames:
             frame = frames[-1]
             var, vals, idx, marker = frame
@@ -613,10 +649,11 @@ class _Search:
             frame[2] += 1
             if not budget.spend():
                 return "exhausted"
-            val = vals[idx]
-            self.trail.append((var, int(self.domains[var])))
-            self.domains[var] = np.uint32(1 << val)
-            if not self.propagate([var]):
+            bit = 1 << var
+            for b in vals:
+                if b != vals[idx]:
+                    self._remove(b, bit)
+            if not self.propagate(bit, bit):
                 continue
             nxt = select()
             if nxt is None:
@@ -625,7 +662,7 @@ class _Search:
                 if on_solution() is False:
                     return "stopped"
                 continue
-            frames.append([nxt, list(_bits(int(self.domains[nxt]))), 0,
+            frames.append([nxt, list(_bits(self.domain(1 << nxt))), 0,
                            len(self.trail)])
         return "unsat"
 
@@ -636,7 +673,7 @@ def solve(problem, limits=None):
     limits = limits or default_limits()
     base, exponent, target, source = _normalize_problem(problem)
     ctx = _context(base, exponent, target)
-    _check_pins_direct(ctx, source, problem.pins)
+    _check_pins_direct(ctx, problem.pins)
     budget = _Budget(limits)
     if ctx.static_unsat is not None:
         return Outcome("unsat", nodes=0, wall=budget.wall, nvars=ctx.nvars)
@@ -672,7 +709,7 @@ def enumerate_solutions(problem, cap, limits=None):
     limits = limits or default_limits()
     base, exponent, target, source = _normalize_problem(problem)
     ctx = _context(base, exponent, target)
-    _check_pins_direct(ctx, source, problem.pins)
+    _check_pins_direct(ctx, problem.pins)
     budget = _Budget(limits)
     if ctx.static_unsat is not None:
         return [], True
@@ -695,145 +732,80 @@ def enumerate_solutions(problem, cap, limits=None):
     return out, status == "unsat"
 
 
-def _as_value_array(nvars, mapping):
-    if isinstance(mapping, dict):
-        vals = np.full(nvars, -1, dtype=np.int64)
-        for k, v in mapping.items():
-            vals[int(k)] = int(v)
-    else:
-        vals = np.asarray(mapping, dtype=np.int64)
-        if vals.shape != (nvars,):
-            raise ValueError("mapping must cover all %d source elements" % nvars)
-    if (vals < 0).any():
-        raise ValueError("mapping must cover all %d source elements" % nvars)
-    return vals
+def _power_violation(handle, rel, trel, planes, vals, cyl):
+    """The first violation of one unary or binary relation by a map on a
+    power, or None.
 
-
-def _verify_power_relation(handle, rel, trel, hvals, violations, nt, cap=8):
-    """Check one base relation digitwise over a power source."""
+    For each value a, the preimage of a is pushed through the base
+    relation one digit at a time: moving the members whose digit j is x
+    by (y - x) * n^(k-1-j) sets digit j to y, for each base pair (x, y).
+    The image must avoid every value b with (a, b) outside the target.
+    """
     n = handle.base.size
     k = handle.exponent
-    r = rel.arity
-    if not trel.tuples:
-        # every power tuple violates; report the diagonal of the first one
-        t0 = rel.sorted_tuples[0]
-        st = tuple(handle.encode((t0[i],) * k) for i in range(r))
-        violations.append((rel.name, st, tuple(int(hvals[c]) for c in st)))
-        return False
-    src = np.asarray(rel.sorted_tuples, dtype=np.int64)  # (m, r)
-    m = src.shape[0]
-    combos = m ** k
-    if combos <= MAX_VERIFY_COMBOS:
-        # coordinate i of a power tuple collects entry i across the k chosen
-        # base tuples, one per digit position
-        weights = np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-        chunk = 1 << 18
-        if r == 2:
-            tmat = np.zeros((nt, nt), dtype=bool)
-            for a, b in trel.tuples:
-                tmat[a, b] = True
-        else:
-            enc_w = np.array([nt ** i for i in range(r)], dtype=np.int64)
-            tgt_enc = np.sort(np.array(
-                [sum(t[i] * nt ** i for i in range(r))
-                 for t in trel.tuples], dtype=np.int64))
-        for start in range(0, combos, chunk):
-            idx = np.arange(start, min(start + chunk, combos), dtype=np.int64)
-            choice = np.empty((k, idx.size), dtype=np.int64)
-            rest = idx.copy()
-            for j in range(k - 1, -1, -1):
-                choice[j] = rest % m
-                rest //= m
-            codes = np.zeros((r, idx.size), dtype=np.int64)
+    everything = (1 << handle.size) - 1
+    if rel.arity == 1:
+        bad = _within(cyl, everything, [a for (a,) in rel.tuples]) & _union(
+            p for b, p in enumerate(planes) if (b,) not in trel.tuples)
+        v = _lowest(bad)
+        return (rel.name, (v,), (vals[v],)) if bad else None
+    succ = {}
+    for x, y in rel.tuples:
+        succ.setdefault(x, []).append(y)
+    for a, pre in enumerate(planes):
+        off = _union(p for b, p in enumerate(planes)
+                     if (a, b) not in trel.tuples)
+        if not pre or not off:
+            continue
+        image = pre
+        for j in range(k):
+            w = n ** (k - 1 - j)
+            moved = 0
+            for x, ys in succ.items():
+                part = image & cyl[j][x]
+                if part:
+                    for y in ys:
+                        moved |= (part << (y - x) * w if y >= x
+                                  else part >> (x - y) * w)
+            image = moved
+        bad = image & off
+        if bad:
+            v = _lowest(bad)
+            dv = handle.decode(v)
+            from_ = pre
             for j in range(k):
-                sel = src[choice[j]]  # (chunk, r)
-                for i in range(r):
-                    codes[i] += sel[:, i] * weights[j]
-            imgs = [hvals[codes[i]] for i in range(r)]
-            if r == 2:
-                bad = ~tmat[imgs[0], imgs[1]]
-            else:
-                enc = np.zeros(idx.size, dtype=np.int64)
-                for i in range(r):
-                    enc += imgs[i] * enc_w[i]
-                pos = np.searchsorted(tgt_enc, enc)
-                pos = np.clip(pos, 0, len(tgt_enc) - 1)
-                bad = tgt_enc[pos] != enc
-            if bad.any():
-                for b in np.flatnonzero(bad)[:cap]:
-                    st = tuple(int(codes[i][b]) for i in range(r))
-                    iv = tuple(int(imgs[i][b]) for i in range(r))
-                    violations.append((rel.name, st, iv))
-                return False
-        return True
-    if r == 2 and handle.size <= MAX_VERIFY_SWEEP_VARS:
-        nvars = handle.size
-        tmat = np.zeros((nt, nt), dtype=bool)
-        for a, b in trel.tuples:
-            tmat[a, b] = True
-        rows = np.zeros((n, n), dtype=bool)
-        for a, b in rel.tuples:
-            rows[a, b] = True
-        digs = []
-        codes = np.arange(nvars, dtype=np.int64)
-        for _ in range(k):
-            digs.append((codes % n).astype(np.int16))
-            codes //= n
-        digs.reverse()
-        ok_img = tmat[:, hvals]  # ok_img[a, v] = (a, h(v)) in target
-        for u in range(nvars):
-            du = [int(digs[j][u]) for j in range(k)]
-            nb = np.ones(nvars, dtype=bool)
-            for j in range(k):
-                nb &= rows[du[j]][digs[j]]
-            bad = nb & ~ok_img[int(hvals[u])]
-            if bad.any():
-                for v in np.flatnonzero(bad)[:cap]:
-                    violations.append(
-                        (rel.name, (u, int(v)), (int(hvals[u]), int(hvals[v]))))
-                return False
-        return True
-    raise EnvelopeError(
-        "verification of relation %s needs %d combinations (cap %d)"
-        % (rel.name, combos, MAX_VERIFY_COMBOS))
+                from_ &= _within([cyl[j]], everything,
+                                 [x for x, ys in succ.items() if dv[j] in ys])
+            u = _lowest(from_)
+            return (rel.name, (u, v), (a, vals[v]))
+    return None
 
 
 def check_is_homomorphism(source, target, mapping):
     """Independent verification that mapping is a homomorphism.
 
     Returns (ok, violations); each violation is (relation, source tuple,
-    image tuple). Power sources are checked without materializing: either
-    all digit combinations are enumerated in chunks, or for binary
-    relations on moderate powers, a per-element neighbor sweep is used.
+    image tuple). Unary and binary relations of a power source are checked
+    on value bitsets without materializing the power, at most one
+    violation per relation; a power whose arity >= 3 relations constrain
+    anything is materialized and checked tuple by tuple.
     """
+    if isinstance(source, PowerHandle) and any(
+            rel.arity >= 3 and rel.tuples and len(
+                target.relation_map[rel.name].tuples) < target.size ** rel.arity
+            for rel in source.base.relations):
+        source = source.materialize()
     violations = []
     if isinstance(source, PowerHandle):
-        hvals = _as_value_array(source.size, mapping)
-        if (hvals >= target.size).any():
-            raise ValueError("mapping has values outside the target carrier")
+        planes, vals = _value_planes(mapping, source.size, target.size)
+        cyl = _cylinders(source.base.size, source.exponent)
         for rel in source.base.relations:
             trel = target.relation_map[rel.name]
-            if not rel.tuples:
+            if not rel.tuples or len(trel.tuples) == target.size ** rel.arity:
                 continue
-            if len(trel.tuples) == target.size ** rel.arity:
-                continue
-            if rel.arity == 1:
-                tset = {b for (b,) in trel.tuples}
-                n = source.base.size
-                base_in = np.zeros(n, dtype=bool)
-                for (a,) in rel.tuples:
-                    base_in[a] = True
-                member = np.ones(source.size, dtype=bool)
-                codes = np.arange(source.size, dtype=np.int64)
-                for _ in range(source.exponent):
-                    member &= base_in[codes % n]
-                    codes //= n
-                bad = member & ~np.isin(hvals, sorted(tset))
-                for v in np.flatnonzero(bad)[:8]:
-                    violations.append((rel.name, (int(v),), (int(hvals[v]),)))
-            else:
-                _verify_power_relation(source, rel, trel, hvals, violations,
-                                       target.size)
+            found = _power_violation(source, rel, trel, planes, vals, cyl)
+            if found:
+                violations.append(found)
         return (not violations), violations
     if isinstance(mapping, dict):
         missing = [v for v in range(source.size) if v not in mapping]

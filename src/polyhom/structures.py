@@ -45,6 +45,15 @@ def _check_tuple(t, arity, n, symbol, index, violations):
             return
 
 
+def tuple_set(tuples):
+    """The tuples as a frozenset of tuples, returned as is when it is one.
+    Copied from a set, a frozenset is sized to its contents; grown a tuple
+    at a time, it can take twice the memory."""
+    if type(tuples) is frozenset and all(type(t) is tuple for t in tuples):
+        return tuples
+    return frozenset(set(map(tuple, tuples)))
+
+
 @dataclass(frozen=True)
 class Relation:
     """One named relation: a duplicate-free set of arity-matching tuples."""
@@ -54,8 +63,7 @@ class Relation:
     tuples: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples",
-                           frozenset(tuple(t) for t in self.tuples))
+        object.__setattr__(self, "tuples", tuple_set(self.tuples))
 
     @cached_property
     def sorted_tuples(self):
@@ -74,7 +82,7 @@ class RelationSet:
     tuples: frozenset
 
     def __post_init__(self):
-        tuples = frozenset(tuple(t) for t in self.tuples)
+        tuples = tuple_set(self.tuples)
         violations = []
         for i, t in enumerate(sorted(tuples)):
             _check_tuple(t, self.arity, self.size, "<relation-set>", i, violations)
@@ -132,7 +140,7 @@ class FiniteStructure:
                                               "; ".join(v[2] for v in violations)),
                 violations)
 
-    @cached_property
+    @property
     def relation_map(self):
         return {r.name: r for r in self.relations}
 
@@ -145,7 +153,10 @@ class FiniteStructure:
         return max((r.arity for r in self.relations), default=0)
 
     def relation(self, name):
-        return self.relation_map[name]
+        for rel in self.relations:
+            if rel.name == name:
+                return rel
+        raise KeyError(name)
 
     def with_name(self, name):
         return replace(self, name=name)
@@ -231,7 +242,7 @@ class PowerHandle:
 
     def contains(self, rel_name, codes):
         """Membership of a tuple of power elements in the named relation."""
-        rel = self.base.relation_map[rel_name]
+        rel = self.base.relation(rel_name)
         vectors = [self.decode(c) for c in codes]
         for j in range(self.exponent):
             if tuple(v[j] for v in vectors) not in rel.tuples:
@@ -267,6 +278,19 @@ class PowerHandle:
 def power(structure, k):
     """Direct power A^k as a lazy handle."""
     return PowerHandle(structure, k)
+
+
+def cylinder(n, k, j, a):
+    """The codes of n^k whose digit j is a, as a bitset (bit c for code c).
+
+    The set is periodic: each run of n^(k-j) codes holds one block of
+    w = n^(k-1-j) consecutive members, starting at a * w; written out as
+    a binary numeral, the highest code first, that is n^j copies of one
+    run.
+    """
+    w = n ** (k - 1 - j)
+    run = "0" * ((n - 1 - a) * w) + "1" * w + "0" * (a * w)
+    return int(run * n ** j, 2)
 
 
 def induced_substructure(structure, elements):
@@ -352,7 +376,7 @@ def canonical_structure(family, n, data, name=""):
             if a == b:
                 violations.append(("edge", -1, "loop at %r not allowed" % (a,)))
                 continue
-            tuples.add((a, b))
+            tuples.add(e)
             tuples.add((b, a))
         if violations:
             raise StructureError("invalid graph", violations)
@@ -507,6 +531,6 @@ def reduce_columns(f):
             first_index[col] = len(kept)
             kept.append(j)
         column_map.append(first_index[col])
-    entries = tuple((tuple(r[j] for j in kept), f(r)) for r in rows)
+    entries = tuple((tuple(r[j] for j in kept), v) for r, v in f.entries)
     g = PartialOpMap(len(kept), f.size, entries)
     return g, tuple(column_map)

@@ -1,7 +1,14 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import polyhom
 from polyhom.structures import (canonical_structure, power, FiniteStructure,
                                 Relation, StructureError)
 from polyhom.search import (ExtensionProblem, SearchLimits, solve,
@@ -182,3 +189,72 @@ def test_check_is_homomorphism_flags_violations():
     assert not ok and violations
     ok, violations = check_is_homomorphism(A, A, {0: 1, 1: 0})
     assert ok and not violations
+
+
+def test_pins_on_related_power_codes_name_the_edge():
+    A = chain2()
+    h = power(A, 2)
+    u, v = h.encode((0, 0)), h.encode((1, 1))  # related digit by digit
+    with pytest.raises(InconsistentPinsError) as e:
+        solve(ExtensionProblem(h, A, {u: 1, v: 0}))
+    assert str(e.value) == "pins map source le-edge (0,3) to non-edge (1,0)"
+
+
+def _random_structure(rng, n, arities):
+    return FiniteStructure(n, tuple(
+        Relation("r%d" % i, r, {t for t in itertools.product(range(n),
+                                                             repeat=r)
+                                if rng.random() < 0.6})
+        for i, r in enumerate(arities)))
+
+
+def test_power_verifier_agrees_with_the_oracle():
+    """check_is_homomorphism on power(A, k) accepts exactly the maps the
+    oracle accepts on the materialized power, and each violation it reports
+    is a power tuple whose image lies outside the target relation. The
+    oracle enumerates every map, so n^k stays at most 9."""
+    rng = random.Random(5)
+    for arities in ([1], [2], [3], [1, 2], [2, 3]):
+        for n, k in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            A = _random_structure(rng, n, arities)
+            T = _random_structure(rng, rng.randint(2, 3), arities)
+            h = power(A, k)
+            P = h.materialize()
+            homs = set(oracle_homomorphisms(P, T))
+            maps = [list(m) for m in sorted(homs)[:3]]
+            for m in maps[:]:  # one changed value, mostly a violation
+                m = list(m)
+                m[rng.randrange(P.size)] = rng.randrange(T.size)
+                maps.append(m)
+            maps += [[rng.randrange(T.size) for _ in range(P.size)]
+                     for _ in range(6)]
+            for m in maps:
+                ok, violations = check_is_homomorphism(h, T, dict(enumerate(m)))
+                assert ok == (tuple(m) in homs) == (not violations)
+                for name, src, image in violations:
+                    assert src in P.relation_map[name].tuples
+                    assert image == tuple(m[c] for c in src)
+                    assert image not in T.relation_map[name].tuples
+
+
+def test_deep_power_search_keeps_memory_small():
+    # 16,382 nodes on 2^14 variables; the trail keeps only removed bits
+    A = chain2()
+    h = power(A, 14)
+    pins = {h.encode((a,) * 14): a for a in range(2)}
+    tracemalloc.start()
+    try:
+        out = solve(ExtensionProblem(h, A, pins))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.found and out.nodes == 16382
+    assert peak < 16 << 20
+
+
+def test_import_loads_no_numpy():
+    src = Path(polyhom.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c",
+         "import polyhom, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)

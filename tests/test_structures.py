@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from polyhom.structures import (FiniteStructure, Relation, RelationSet,
-                                PartialOpMap, PowerHandle, power,
+                                PartialOpMap, PowerHandle, power, cylinder,
                                 reduce_columns, canonical_structure,
                                 induced_substructure, validate_structure,
                                 StructureError, EnvelopeError)
@@ -144,6 +144,18 @@ def test_power_encode_decode_roundtrip():
         h.encode((0, 1))
     with pytest.raises(ValueError):
         h.decode(8)
+
+
+def test_cylinder_is_the_codes_with_that_digit():
+    for n in range(1, 5):
+        for k in range(1, 5):
+            h = power(FiniteStructure(n, ()), k)
+            for j in range(k):
+                for a in range(n):
+                    cyl = cylinder(n, k, j, a)
+                    assert cyl >> h.size == 0
+                    for code in range(h.size):
+                        assert (cyl >> code & 1) == (h.decode(code)[j] == a)
 
 
 def test_power_membership_equals_materialized():
