@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import (EnvelopeError, FiniteStructure, PartialOpMap,
-                         StructureError, canonical_structure)
+from .structures import (EnvelopeError, PartialOpMap, StructureError,
+                         canonical_structure)
 from .search import default_limits
-from .homogeneity import (canonical_partial_nu, extendable, is_k_ph,
+from .homogeneity import (canonical_partial_nu, extendable,
                           is_partial_polymorphism)
 
 ESCALATION_MAX_ARITY = 3
@@ -238,7 +238,8 @@ def classify_graph(structure, limits=None, with_witness=True):
         try:
             got = graph_star_witness(structure, limits)
         except EnvelopeError:
-            # the star witness's extension CSP is out of reach (K6: arity 7)
+            # the star witness's extension CSP is out of reach (K7: arity
+            # 8, 7^8 variables past search.MAX_CSP_VARS)
             got = _no_majority_witness(structure, limits)
             if got is None:
                 raise
@@ -362,9 +363,7 @@ def classify_poset(structure, limits=None, with_witness=True):
     if with_witness:
         got = poset_pair_witness(structure, limits)
         if got is None:
-            got = _escalating_counterexample(
-                structure, ESCALATION_MAX_ARITY, ESCALATION_MAX_DOMAIN,
-                limits)
+            got = escalating_counterexample(structure, limits=limits)
         if got is not None:
             arity, witness = got
     return ClassReport("poset", "NotPH", reasons, witness, arity)
@@ -655,10 +654,12 @@ def classify_eq_lattice(structure, limits=None):
     return ClassReport("eq_lattice", verdict, reasons)
 
 
-def _escalating_counterexample(structure, max_arity, max_domain, limits):
+def escalating_counterexample(structure, max_arity=ESCALATION_MAX_ARITY,
+                              max_domain=ESCALATION_MAX_DOMAIN, limits=None):
     """Scan partial maps in canonical order (arity, domain size, domain,
     values) for a partial polymorphism with an unsatisfiable extension
     problem. Returns (arity, map) or None."""
+    limits = limits or default_limits()
     n = structure.size
     for k in range(1, max_arity + 1):
         points = sorted(itertools.product(range(n), repeat=k))
@@ -675,69 +676,38 @@ def _escalating_counterexample(structure, max_arity, max_domain, limits):
     return None
 
 
-def escalating_counterexample(structure, max_arity=ESCALATION_MAX_ARITY,
-                              max_domain=ESCALATION_MAX_DOMAIN, limits=None):
-    return _escalating_counterexample(
-        structure, max_arity, max_domain, limits or default_limits())
-
-
-def kaarli_cross_check(n, limits=None, max_arity=ESCALATION_MAX_ARITY):
+def kaarli_cross_check(n, limits=None):
     """Compare is_arithmetical with polymorphism-homogeneity over every
-    meet-complete sublattice of the partition lattice on n points.
-
-    For n <= 3 the comparison runs the full decision procedure; at n = 4
-    non-arithmetical families get an escalating counterexample search and
-    arithmetical ones are recorded as unverified (the decision procedure's
-    certified envelope stops at n = 3).
+    meet-complete sublattice of the partition lattice on n points, by
+    running decide_ph on each. A family counts as an agreement when the
+    certified verdict matches the arithmetical test, and is listed under
+    inconclusive when decide_ph hits search.MAX_CSP_VARS, another cap or
+    the budget.
     """
     from .homogeneity import decide_ph
     limits = limits or default_limits()
     families = enumerate_meet_complete_sublattices(n)
     rows = []
     agreements = 0
-    refutation_arities = {}
     inconclusive = []
     for idx, fam in enumerate(families):
-        arith, wit = is_arithmetical(fam, n)
-        A = canonical_structure("eq_lattice", n, [list(map(list, p))
-                                                  for p in fam],
+        arith, _ = is_arithmetical(fam, n)
+        family = [list(map(list, p)) for p in fam]
+        A = canonical_structure("eq_lattice", n, family,
                                 name="eq%d_%d" % (n, idx))
-        row = {"family": [list(map(list, p)) for p in fam],
-               "arithmetical": arith}
-        if n <= 3:
-            verdict = decide_ph(A, limits)
-            row["verdict"] = verdict.status
-            row["agrees"] = (verdict.status == "PH") == arith \
-                and verdict.status != "Inconclusive"
-            if verdict.status == "Inconclusive":
-                inconclusive.append(idx)
-            elif row["agrees"]:
-                agreements += 1
-        elif not arith:
-            got = _escalating_counterexample(
-                A, max_arity, ESCALATION_MAX_DOMAIN, limits)
-            if got is None:
-                row["verdict"] = "Inconclusive"
-                row["agrees"] = False
-                inconclusive.append(idx)
-            else:
-                k, f = got
-                row["verdict"] = "NotPH"
-                row["agrees"] = True
-                row["refutation_arity"] = k
-                row["witness"] = f.to_json()
-                refutation_arities[idx] = k
-                agreements += 1
-        else:
-            row["verdict"] = "unverified"
+        verdict = decide_ph(A, limits).status
+        agrees = verdict == ("PH" if arith else "NotPH")
+        rows.append({"family": family, "arithmetical": arith,
+                     "verdict": verdict, "agrees": agrees})
+        if verdict == "Inconclusive":
             inconclusive.append(idx)
-        rows.append(row)
+        elif agrees:
+            agreements += 1
     return {
         "n": n,
         "families": len(families),
         "rows": rows,
         "agreements": agreements,
-        "refutation_arities": refutation_arities,
         "inconclusive": inconclusive,
     }
 

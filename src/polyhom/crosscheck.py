@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 
-from .structures import (FiniteStructure, Relation, PartialOpMap,
-                         canonical_structure, power)
+from .structures import PartialOpMap, canonical_structure, power
 from .homogeneity import (FunctionTable, decide_ph, extendable,
                           is_k_ph, is_partial_polymorphism)
 from .search import default_limits
@@ -42,13 +41,6 @@ def bowtie_poset():
     return canonical_structure("poset", 4, le, name="bowtie")
 
 
-def diamond_poset():
-    # bottom 0, incomparable 1 and 2, top 3: a lattice
-    le = [(i, i) for i in range(4)]
-    le += [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-    return canonical_structure("poset", 4, le, name="diamond")
-
-
 def m3_partitions():
     """The three perfect matchings of 4 points plus bounds: a modular,
     non-distributive sublattice of the partition lattice."""
@@ -72,7 +64,7 @@ def m3_structure():
 def _table_from_json(obj):
     if "values" in obj:
         return FunctionTable(obj["arity"], obj["size"], "table",
-                             list(obj["values"]))
+                             list(obj["values"]), columns=obj.get("columns"))
     if obj.get("kind") == "projection":
         return FunctionTable(obj["arity"], obj["size"], "projection",
                              obj["coordinate"])

@@ -31,15 +31,15 @@ from .homogeneity import FunctionTable, extendable
 MAX_INV_POINTS = 24
 MAX_INV_MEMBERS = 1 << 16
 MAX_QF_POINTS = 1 << 20
+# check_finite_polylocal: nonempty tuple sets over A^m
+MAX_POLYLOCAL_SETS = 1 << 16
 
 
 def enumerate_polymorphisms(structure, k, cap=1 << 15, limits=None):
     """All k-ary polymorphisms as FunctionTables, engine-enumerated in
-    lexicographic table order. Returns (tables, complete)."""
+    lexicographic table order. Returns (tables, complete). Raises
+    EnvelopeError past search.MAX_CSP_VARS table entries."""
     n = structure.size
-    if n ** k > (1 << 20):
-        raise EnvelopeError(
-            "polymorphism space %d^%d exceeds the variable cap" % (n, k))
     source = power(structure, k) if k > 1 else structure
     sols, complete = enumerate_solutions(
         ExtensionProblem(source, structure), cap=cap,
@@ -439,17 +439,19 @@ class PolylocalResult:
         return out
 
 
-def check_finite_polylocal(structure, m, limits=None, subset_cap=1 << 16):
+def check_finite_polylocal(structure, m, limits=None):
     """Does every qf-type-permitted image of every nonempty tuple set over
     A^m arise from a polymorphism? Fails with the first separating pair in
-    sweep order (tuple-set size ascending, then lexicographic)."""
+    sweep order (tuple-set size ascending, then lexicographic). Raises
+    EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
     limits = limits or default_limits()
     n = structure.size
     space = n ** m
-    if (1 << space) - 1 > subset_cap:
+    # 2^space - 1 tuple sets, compared without building 2^space
+    if space > (MAX_POLYLOCAL_SETS + 1).bit_length() - 1:
         raise EnvelopeError(
-            "polylocality sweep over %d tuple sets (cap %d)"
-            % ((1 << space) - 1, subset_cap))
+            "polylocality sweep over 2^%d - 1 tuple sets (cap %d)"
+            % (space, MAX_POLYLOCAL_SETS))
     all_tuples = sorted(itertools.product(range(n), repeat=m))
     checked = 0
     for size in range(1, space + 1):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
                          StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import (ExtensionProblem, _bits, _lowest, default_limits, solve,
-                     MAX_CSP_VARS)
+from .search import (ExtensionProblem, _Budget, _bits, _lowest,
+                     default_limits, solve)
 
 # row-selection cap for the partial polymorphism check
 PP_COMBO_CAP = 2_000_000
@@ -33,17 +33,20 @@ PATTERN_COMBO_CAP = 5_000_000
 class FunctionTable:
     """A total finitary operation with an evaluator and a provenance kind.
 
-    kinds: 'projection' (payload: coordinate), 'table' (payload: value list
-    indexed by base-n code), 'term' (payload: (ops, tree) where tree is
-    ('x', i) or ('app', op_index, children) over the ops list).
+    kinds: 'projection' (payload: coordinate) and 'table' (payload: value
+    list indexed by the base-n code of the arguments). A table may read
+    only some argument positions: columns lists them, most significant
+    digit first, when extendable merged duplicate domain columns; without
+    columns it reads every position in order.
     """
 
-    def __init__(self, arity, size, kind, payload, note=""):
+    def __init__(self, arity, size, kind, payload, note="", columns=None):
         self.arity = arity
         self.size = size
         self.kind = kind
         self.payload = payload
         self.note = note
+        self.columns = columns
 
     def apply(self, args):
         args = tuple(args)
@@ -51,13 +54,12 @@ class FunctionTable:
             raise ValueError("expected %d arguments" % self.arity)
         if self.kind == "projection":
             return args[self.payload]
-        if self.kind == "table":
-            code = 0
-            for a in args:
-                code = code * self.size + a
-            return self.payload[code]
-        ops, tree = self.payload
-        return _eval_term(tree, ops, args, self.size)
+        if self.columns is not None:
+            args = [args[j] for j in self.columns]
+        code = 0
+        for a in args:
+            code = code * self.size + a
+        return self.payload[code]
 
     def extends(self, partial):
         return all(self.apply(k) == v for k, v in partial.entries)
@@ -72,44 +74,17 @@ class FunctionTable:
             out.append((args, self.apply(args)))
         return out
 
-    def as_partial(self, cap=MAX_MATERIALIZED_POWER):
-        return PartialOpMap(self.arity, self.size, tuple(self.graph_entries(cap)))
-
-    def to_json(self, materialize_cap=4096):
+    def to_json(self):
         out = {"arity": self.arity, "size": self.size, "kind": self.kind}
         if self.note:
             out["note"] = self.note
         if self.kind == "projection":
             out["coordinate"] = self.payload
-        elif self.kind == "table":
-            out["values"] = list(self.payload)
         else:
-            ops, tree = self.payload
-            out["ops"] = [{"arity": a, "values": list(t)} for a, t in ops]
-            out["tree"] = _term_json(tree)
-            if self.size ** self.arity <= materialize_cap:
-                out["values"] = [self.apply(args) for args in
-                                 itertools.product(range(self.size),
-                                                   repeat=self.arity)]
+            out["values"] = list(self.payload)
+            if self.columns is not None:
+                out["columns"] = list(self.columns)
         return out
-
-
-def _eval_term(tree, ops, args, n):
-    if tree[0] == "x":
-        return args[tree[1]]
-    _, op_index, children = tree
-    arity, table = ops[op_index]
-    vals = [_eval_term(c, ops, args, n) for c in children]
-    code = 0
-    for v in vals:
-        code = code * n + v
-    return table[code]
-
-
-def _term_json(tree):
-    if tree[0] == "x":
-        return {"var": tree[1]}
-    return {"op": tree[1], "args": [_term_json(c) for c in tree[2]]}
 
 
 def is_partial_polymorphism(structure, f):
@@ -216,10 +191,11 @@ def extendable(structure, f, limits=None):
     Route: reject non-partial-polymorphisms (with the violated relation);
     answer maps that agree with a projection; otherwise solve the extension
     CSP from the l-th power to the structure, where l is the number of
-    distinct domain columns, pinned to f's entries. Raises EnvelopeError
-    when that CSP is out of reach: more than MAX_CSP_VARS variables, or
-    more than 4096 when a relation has arity 3 or more. A returned witness
-    is always re-verified against f before it is reported.
+    distinct domain columns, pinned to f's entries. The CSP's witness is a
+    'table' on the kept columns. Raises EnvelopeError when that CSP is out
+    of reach: more than search.MAX_CSP_VARS variables, or more than
+    search.MAX_MATERIALIZE_VARS when a relation has arity 3 or more. A
+    returned witness is always re-verified against f before it is reported.
     """
     limits = limits or default_limits()
     ok, violation = is_partial_polymorphism(structure, f)
@@ -246,23 +222,15 @@ def extendable(structure, f, limits=None):
                 raise RuntimeError("internal error: projection witness "
                                    "fails to extend the map")
             return ExtendResult("extendable", witness, {"route": "projection"})
-    n = structure.size
-    l = g.arity
-    if n ** l > MAX_CSP_VARS or (structure.max_arity >= 3 and n ** l > 4096):
-        raise EnvelopeError(
-            "the extension CSP needs %d variables" % (n ** l,))
-    handle = power(structure, l)
+    handle = power(structure, g.arity)
     pins = {handle.encode(r): v for r, v in g.entries}
     out = solve(ExtensionProblem(handle, structure, pins), limits)
     detail = {"route": "csp", "csp_vars": handle.size, "nodes": out.nodes}
     if out.found:
         table = [out.assignment[c] for c in range(handle.size)]
-        witness = FunctionTable(l, f.size, "table", table)
-        if kept_first != list(range(f.arity)):
-            # merged columns: read the l-ary table at the kept columns
-            tree = ("app", 0, tuple(("x", j) for j in kept_first))
-            witness = FunctionTable(f.arity, f.size, "term",
-                                    ([(l, tuple(table))], tree))
+        columns = None if g.arity == f.arity else tuple(kept_first)
+        witness = FunctionTable(f.arity, f.size, "table", table,
+                                columns=columns)
         if not witness.extends(f):
             raise RuntimeError("internal error: CSP witness fails to "
                                "extend the map")
@@ -373,8 +341,7 @@ def _blocking_patterns_all_values(structure, x, k, budget):
                 "pattern enumeration needs %d column choices (cap %d)"
                 % (combos, PATTERN_COMBO_CAP))
         for cols in itertools.product(tuples, repeat=k):
-            budget["steps"] += 1
-            if budget["steps"] > budget["cap"]:
+            if not budget.spend():
                 raise _SearchBudget()
             rows = [tuple(cols[j][i] for j in range(k)) for i in range(r)]
             if x not in rows:
@@ -408,35 +375,30 @@ def _one_point_counterexample(structure, k, limits):
     partial polymorphism stays one.
     """
     n = structure.size
-    budget = {"steps": 0, "cap": limits.node_budget}
+    budget = _Budget(limits)
     exhausted = False
     handle = power(structure, k)
-    for code in range(n ** k):
-        x = handle.decode(code)
-        try:
-            by_value = _blocking_patterns_all_values(structure, x, k, budget)
-        except EnvelopeError:
-            exhausted = True
-            continue
-        except _SearchBudget:
-            return KphResult("exhausted", None,
-                             {"reason": "node_budget",
-                              "steps": budget["steps"]})
-        if any(not pats for pats in by_value):
-            continue
-        per_value = [(v, by_value[v]) for v in range(n)]
-        per_value.sort(key=lambda pv: (len(pv[1]), pv[0]))
-        found = _merge_patterns(structure, k, x, per_value, 0, {}, budget)
-        if found == "exhausted":
-            return KphResult("exhausted", None,
-                             {"reason": "node_budget",
-                              "steps": budget["steps"]})
-        if found is not None:
+    try:
+        for code in range(n ** k):
+            x = handle.decode(code)
+            try:
+                by_value = _blocking_patterns_all_values(structure, x, k,
+                                                         budget)
+            except EnvelopeError:
+                exhausted = True
+                continue
+            if any(not pats for pats in by_value):
+                continue
+            per_value = [(v, by_value[v]) for v in range(n)]
+            per_value.sort(key=lambda pv: (len(pv[1]), pv[0]))
+            found = _merge_patterns(structure, k, x, per_value, 0, {}, budget)
+            if found is None:
+                continue
             f = PartialOpMap(k, n, tuple(found.items()))
             blocked = []
             for v in range(n):
-                ok, viol = is_partial_polymorphism(
-                    structure, f.with_entry(x, v))
+                ok, viol = is_partial_polymorphism(structure,
+                                                   f.with_entry(x, v))
                 if ok:
                     raise RuntimeError(
                         "internal error: claimed blocked value %d extends"
@@ -448,21 +410,22 @@ def _one_point_counterexample(structure, k, limits):
                 "fails",
                 {"map": f, "point": tuple(int(a) for a in x),
                  "blocked_values": blocked},
-                {"strategy": "one_point", "steps": budget["steps"]})
+                {"steps": budget.nodes})
+    except _SearchBudget:
+        return KphResult("exhausted", None,
+                         {"reason": budget.reason, "steps": budget.nodes})
     if exhausted:
         return KphResult("exhausted", None,
                          {"reason": "pattern_envelope",
-                          "steps": budget["steps"]})
-    return KphResult("holds", None,
-                     {"strategy": "one_point", "steps": budget["steps"]})
+                          "steps": budget.nodes})
+    return KphResult("holds", None, {"steps": budget.nodes})
 
 
 def _merge_patterns(structure, k, x, per_value, idx, acc, budget):
     """DFS over one blocking pattern per value; the merged assignment must
     be functional and a partial polymorphism."""
-    budget["steps"] += 1
-    if budget["steps"] > budget["cap"]:
-        return "exhausted"
+    if not budget.spend():
+        raise _SearchBudget()
     if idx == len(per_value):
         f = PartialOpMap(k, structure.size, tuple(acc.items()))
         ok, _ = is_partial_polymorphism(structure, f)
@@ -495,26 +458,21 @@ def _merge_patterns(structure, k, x, per_value, idx, acc, budget):
     return None
 
 
-def is_k_ph(structure, k, limits=None, strategy="one_point"):
+def is_k_ph(structure, k, limits=None):
     """Does every k-ary partial polymorphism extend to a total one?
 
-    strategy 'one_point' searches for a bounded stuck pair directly;
-    'power_hh' materializes the k-th power and tests unary extendability
-    there (the two agree on the tested families; both are exercised by the
-    validation suite)."""
+    Searches for a bounded stuck pair directly (see
+    _one_point_counterexample). The node and wall budgets are one
+    allowance for the whole call; each pattern step spends one node. A is
+    k-PH iff A^k is hom-homogeneous, so is_hom_homogeneous on the
+    materialized power gives the same status.
+    """
     limits = limits or default_limits()
     if isinstance(structure, PowerHandle):
         structure = structure.materialize()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if strategy == "one_point":
-        return _one_point_counterexample(structure, k, limits)
-    if strategy == "power_hh":
-        inner = is_k_ph(power(structure, k).materialize(), 1, limits,
-                        strategy="one_point")
-        inner.detail["strategy"] = "power_hh"
-        return inner
-    raise ValueError("unknown strategy %r" % (strategy,))
+    return _one_point_counterexample(structure, k, limits)
 
 
 def is_hom_homogeneous(structure, limits=None):

@@ -30,13 +30,10 @@ from functools import lru_cache
 from .structures import (EnvelopeError, FiniteStructure, PowerHandle,
                          StructureError, cylinder)
 
-# Envelope caps: variable count of one extension CSP, dense-power handling
-# of arity >= 3 relations, and re-verification work for found maps.
+# Envelope caps: variable count of one extension CSP, and the largest power
+# source materialized because it carries a relation of arity >= 3.
 MAX_CSP_VARS = 1 << 20
 MAX_MATERIALIZE_VARS = 4096
-MAX_VERIFY_COMBOS = 50_000_000
-MAX_VERIFY_SWEEP_VARS = 1 << 16
-MAX_TARGET_SIZE = 32
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -255,9 +252,6 @@ class _Context:
         if nvars > MAX_CSP_VARS:
             raise EnvelopeError(
                 "extension CSP has %d variables (cap %d)" % (nvars, MAX_CSP_VARS))
-        if self.nt > MAX_TARGET_SIZE:
-            raise EnvelopeError(
-                "target size %d exceeds bitmask width %d" % (self.nt, MAX_TARGET_SIZE))
 
         n = base.size
         everything = self.all_vars = (1 << nvars) - 1
@@ -325,20 +319,6 @@ class _Context:
                         % rel.arity)
                 self.high.append(_HighArityConstraint(
                     rel.name, rel.tuples, trel.tuples))
-
-        # verification feasibility is part of the envelope: a map can only
-        # be reported found if it can be independently re-checked
-        if exponent > 1:
-            for rel in base.relations:
-                trel = target.relation_map[rel.name]
-                if not rel.tuples or len(trel.tuples) == self.nt ** rel.arity:
-                    continue
-                combos = len(rel.tuples) ** exponent
-                if combos > MAX_VERIFY_COMBOS and not (
-                        rel.arity == 2 and nvars <= MAX_VERIFY_SWEEP_VARS):
-                    raise EnvelopeError(
-                        "relation %s needs %d verification combinations (cap %d)"
-                        % (rel.name, combos, MAX_VERIFY_COMBOS))
 
         self.initial_planes = tuple(planes)
         empty = everything & ~_union(planes)

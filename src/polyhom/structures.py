@@ -15,9 +15,6 @@ from functools import cached_property
 # go through the lazy handle beyond it.
 MAX_MATERIALIZED_POWER = 1 << 20
 
-# Power encodings must fit a signed 64-bit index.
-MAX_POWER_CODE = 1 << 62
-
 
 class StructureError(ValueError):
     """A structure, relation, or map failed validation."""
@@ -195,10 +192,6 @@ class PowerHandle:
     def __post_init__(self):
         if self.exponent < 1:
             raise StructureError("power exponent must be >= 1")
-        if self.base.size ** self.exponent > MAX_POWER_CODE:
-            raise EnvelopeError(
-                "power %d^%d exceeds the 62-bit element index width"
-                % (self.base.size, self.exponent))
 
     @property
     def size(self):

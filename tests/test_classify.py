@@ -107,15 +107,17 @@ def test_star_witness_on_the_two_edge_path():
     assert_verified_witness(g, 3, f)
 
 
-def test_k6_refuted_by_the_majority_map():
-    # the star witness needs arity 7, past the extension CSP's envelope;
-    # K6 has no majority polymorphism, which also refutes PH
-    k6 = canonical_structure("graph", 6, list(itertools.combinations(
-        range(6), 2)), name="k6")
-    report = classify_graph(k6)
-    assert report.verdict == "NotPH"
-    assert report.witness_arity == 3
-    assert_verified_witness(k6, 3, report.witness)
+def test_complete_graphs_k6_by_its_star_witness_and_k7_by_majority():
+    # K6's star witness has arity 7: its extension CSP has 6^7 variables
+    # and is refuted at the root. K7's would need 7^8, past the CSP cap,
+    # so K7 is refuted by the majority map: it has no majority polymorphism
+    for n, arity in ((6, 7), (7, 3)):
+        kn = canonical_structure("graph", n, list(itertools.combinations(
+            range(n), 2)), name="k%d" % n)
+        report = classify_graph(kn)
+        assert report.verdict == "NotPH"
+        assert report.witness_arity == arity
+        assert_verified_witness(kn, arity, report.witness)
 
 
 def test_isolated_vertex_witness_used_when_star_holds():
@@ -407,6 +409,16 @@ def test_kaarli_cross_check_is_exact_up_to_three_points():
         for row in report["rows"]:
             assert row["agrees"]
             assert (row["verdict"] == "PH") == row["arithmetical"]
+
+
+def test_kaarli_cross_check_is_exact_on_four_points():
+    # every family gets a certified decide_ph verdict matching the
+    # arithmetical test; none is left inconclusive
+    report = kaarli_cross_check(4)
+    assert report["families"] == 469
+    assert report["agreements"] == 469
+    assert report["inconclusive"] == []
+    assert sum(row["verdict"] == "PH" for row in report["rows"]) == 136
 
 
 # ---------------------------------------------------------------- dispatch

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from polyhom.homogeneity import (FunctionTable, is_partial_polymorphism,
                                  find_nu_polymorphism, is_k_ph,
                                  is_hom_homogeneous, decide_ph)
 from polyhom.galois import gamma_closure, qf_type_closure, tau_extension_map
+from polyhom.crosscheck import _table_from_json
 from polyhom.generate import all_n2_binary, all_graphs
 
 from oracles import (table_apply, oracle_polymorphisms,
@@ -137,6 +139,33 @@ def test_extendable_rejects_non_partial_polymorphism():
     assert res.not_extendable and res.detail["route"] == "rejected"
 
 
+def test_extendable_merged_columns_give_a_table_on_the_kept_columns():
+    # domain columns 0 and 2 agree, so the CSP runs on the binary map they
+    # reduce to (the meet on the kept columns), and the ternary witness
+    # reads that binary table at argument positions 0 and 1
+    A = chain2()
+    f = PartialOpMap(3, 2, {(0, 1, 0): 0, (1, 0, 1): 0})
+    res = extendable(A, f, default_limits())
+    assert res.extendable and res.detail["route"] == "csp"
+    w = res.witness
+    assert (w.kind, w.arity, w.columns, len(w.payload)) == (
+        "table", 3, (0, 1), 4)
+    assert w.extends(f)
+    table = tuple(w.apply(args)
+                  for args in itertools.product(range(2), repeat=3))
+    assert oracle_is_polymorphism(A, table, 3)
+    obj = json.loads(json.dumps(w.to_json()))
+    assert obj["columns"] == [0, 1] and len(obj["values"]) == 4
+    back = _table_from_json(obj)
+    for args in itertools.product(range(2), repeat=3):
+        assert back.apply(args) == w.apply(args) == w.payload[
+            2 * args[0] + args[1]]
+    # without merged columns the table reads every position
+    g = PartialOpMap(2, 2, {(0, 1): 0, (1, 0): 0})
+    plain = extendable(A, g, default_limits()).witness
+    assert plain.columns is None and "columns" not in plain.to_json()
+
+
 def test_extendable_out_of_csp_envelope_raises():
     # a ternary relation caps the extension CSP at 4096 variables; nine
     # distinct columns on three points need 3^9, so a candidate outside tau
@@ -226,15 +255,6 @@ def test_one_point_reduction_matches_full_brute_force_n2():
                 (A.name, k)
 
 
-def test_is_k_ph_strategies_agree():
-    limits = default_limits()
-    for A in all_n2_binary():
-        for k in (1, 2):
-            a = is_k_ph(A, k, limits, strategy="one_point")
-            b = is_k_ph(A, k, limits, strategy="power_hh")
-            assert a.status == b.status
-
-
 def test_k_ph_counterexample_is_genuinely_stuck():
     limits = default_limits()
     for A in all_n2_binary():
@@ -255,7 +275,7 @@ def test_phhh_equivalence_n2():
     # k-homogeneity of A equals unary homogeneity of the k-th power
     limits = default_limits()
     for A in all_n2_binary():
-        for k in (2, 3):
+        for k in (1, 2, 3):
             direct = is_k_ph(A, k, limits).status
             via = is_hom_homogeneous(power(A, k)).status
             assert direct == via, (A.name, k)
@@ -273,8 +293,18 @@ def test_hierarchy_monotone_n2():
 def test_is_k_ph_rejects_bad_k():
     with pytest.raises(ValueError):
         is_k_ph(chain2(), 0)
-    with pytest.raises(ValueError):
-        is_k_ph(chain2(), 1, strategy="bogus")
+
+
+def test_is_k_ph_stops_on_either_budget():
+    # one allowance per call: the pattern steps of every point spend it
+    m6 = canonical_structure("graph", 6, [(0, 1), (2, 3), (4, 5)], name="3K2")
+    full = is_k_ph(m6, 2)
+    assert full.holds
+    for limits, reason in ((SearchLimits(wall_budget=1e-9), "wall_budget"),
+                           (SearchLimits(node_budget=1), "node_budget")):
+        res = is_k_ph(m6, 2, limits)
+        assert (res.status, res.detail["reason"]) == ("exhausted", reason)
+        assert res.detail["steps"] < full.detail["steps"]
 
 
 # --------------------------------------------------------------- decide_ph
