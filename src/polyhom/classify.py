@@ -17,14 +17,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import (EnvelopeError, PartialOpMap, StructureError,
-                         canonical_structure)
+from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
+                         StructureError, broken_axiom, canonical_structure,
+                         check_family, partition_pairs)
 from .search import default_limits
 from .homogeneity import (canonical_partial_nu, extendable,
                           is_partial_polymorphism)
 
 ESCALATION_MAX_ARITY = 3
 ESCALATION_MAX_DOMAIN = 4
+# enumerate_meet_complete_sublattices: partitions of the carrier, and the
+# closed families listed
+MAX_LATTICE_PARTITIONS = 20
+MAX_CLOSED_FAMILIES = 100_000
 
 
 @dataclass
@@ -57,60 +62,50 @@ def _single_binary(structure):
     return structure.relations[0]
 
 
-def _is_equivalence(tuples, n):
-    pairs = set(tuples)
-    if any((i, i) not in pairs for i in range(n)):
-        return False
-    if any((b, a) not in pairs for a, b in pairs):
-        return False
-    return all((a, c) in pairs
-               for a, b in pairs for b2, c in pairs if b == b2)
+def _family_pairs(structure, family):
+    """The pairs of the structure's one binary relation, once they satisfy
+    the family's axioms; raises StructureError otherwise."""
+    rel = _single_binary(structure)
+    if rel is None:
+        raise StructureError("a %s carries exactly one binary relation"
+                             % family)
+    check_family(family, rel.name, rel.tuples, structure.size)
+    return rel.tuples
 
 
 def recognize_family(structure):
     """Name the classification family the structure belongs to, if any:
-    graph, poset, strict_poset, or eq_lattice. Returns None otherwise."""
+    for one binary relation, the first family of
+    structures.FAMILY_AXIOMS whose axioms it satisfies; eq_lattice for
+    several binary relations that are all equivalences. Returns None
+    otherwise."""
     n = structure.size
     rel = _single_binary(structure)
     if rel is not None:
-        pairs = set(rel.tuples)
-        reflexive = all((i, i) in pairs for i in range(n))
-        irreflexive = all((i, i) not in pairs for i in range(n))
-        symmetric = all((b, a) in pairs for a, b in pairs)
-        transitive = all((a, c) in pairs
-                         for a, b in pairs for b2, c in pairs if b == b2)
-        antisym = all(not (a != b and (b, a) in pairs) for a, b in pairs)
-        if irreflexive and symmetric:
-            return "graph"
-        if reflexive and antisym and transitive:
-            return "poset"
-        if irreflexive and transitive:
-            return "strict_poset"
-        if reflexive and symmetric and transitive:
-            return "eq_lattice"
-        return None
+        return next((family for family in FAMILY_AXIOMS
+                     if broken_axiom(rel.tuples, n, family) is None), None)
     if structure.relations and all(
-            r.arity == 2 and _is_equivalence(r.tuples, n)
+            r.arity == 2 and broken_axiom(r.tuples, n, "eq_lattice") is None
             for r in structure.relations):
         return "eq_lattice"
     return None
 
 
+def _refuted(structure, f, what, limits):
+    """(arity, f) for a map f that must not extend; raises RuntimeError
+    when the extension engine does not refute it."""
+    res = extendable(structure, f, limits)
+    if not res.not_extendable:
+        raise RuntimeError("internal error: %s unexpectedly %s"
+                           % (what, res.status))
+    return (f.arity, f)
+
+
 # ---------------------------------------------------------------- graphs
 
 def _graph_neighbors(structure):
-    rel = _single_binary(structure)
-    if rel is None:
-        raise StructureError("a graph carries exactly one binary relation")
-    n = structure.size
-    pairs = set(rel.tuples)
-    for a, b in pairs:
-        if a == b:
-            raise StructureError("graphs are irreflexive; loop at %d" % a)
-        if (b, a) not in pairs:
-            raise StructureError("graphs are symmetric; %r one-way" % ((a, b),))
-    nbrs = [set() for _ in range(n)]
-    for a, b in pairs:
+    nbrs = [set() for _ in range(structure.size)]
+    for a, b in _family_pairs(structure, "graph"):
         nbrs[a].add(b)
     return nbrs
 
@@ -179,29 +174,19 @@ def graph_star_witness(structure, limits=None):
     for i in range(1, k + 1):
         row = tuple(c if j == i else a for j in range(k + 1))
         entries[row] = B[i - 1]
-    f = PartialOpMap(k + 1, n, entries)
-    res = extendable(structure, f, limits)
-    if not res.not_extendable:
-        raise RuntimeError(
-            "internal error: star witness unexpectedly %s" % res.status)
-    return (k + 1, f)
+    return _refuted(structure, PartialOpMap(k + 1, n, entries),
+                    "star witness", limits)
 
 
-def _isolated_vertex_witness(structure, limits):
+def _isolated_vertex_witness(structure, nbrs, limits):
     """With an isolated vertex u and an edge (x,y) present, the unary map
     x -> u cannot extend: the image of y would need a neighbor of u."""
-    nbrs = _graph_neighbors(structure)
     u = next((v for v, s in enumerate(nbrs) if not s), None)
     x = next((v for v, s in enumerate(nbrs) if s), None)
     if u is None or x is None:
         return None
-    f = PartialOpMap(1, structure.size, {(x,): u})
-    res = extendable(structure, f, limits)
-    if not res.not_extendable:
-        raise RuntimeError(
-            "internal error: isolated-vertex witness unexpectedly %s"
-            % res.status)
-    return (1, f)
+    return _refuted(structure, PartialOpMap(1, structure.size, {(x,): u}),
+                    "isolated-vertex witness", limits)
 
 
 def _no_majority_witness(structure, limits):
@@ -244,7 +229,7 @@ def classify_graph(structure, limits=None, with_witness=True):
             if got is None:
                 raise
         if got is None:
-            got = _isolated_vertex_witness(structure, limits)
+            got = _isolated_vertex_witness(structure, nbrs, limits)
         if got is not None:
             arity, witness = got
     return ClassReport("graph", "NotPH", reasons, witness, arity)
@@ -252,27 +237,7 @@ def classify_graph(structure, limits=None, with_witness=True):
 
 # ---------------------------------------------------------------- posets
 
-def _poset_le(structure):
-    rel = _single_binary(structure)
-    if rel is None:
-        raise StructureError("a poset carries exactly one binary relation")
-    n = structure.size
-    le = set(rel.tuples)
-    for i in range(n):
-        if (i, i) not in le:
-            raise StructureError("poset not reflexive at %d" % i)
-    for a, b in le:
-        if a != b and (b, a) in le:
-            raise StructureError("poset not antisymmetric on %r" % ((a, b),))
-    for a, b in le:
-        for b2, c in le:
-            if b == b2 and (a, c) not in le:
-                raise StructureError(
-                    "poset not transitive on %r" % ((a, b, c),))
-    return le
-
-
-def _bounds(le, n):
+def _is_lattice(le, n):
     def lub(s):
         uppers = [u for u in range(n) if all((x, u) in le for x in s)]
         least = [u for u in uppers if all((u, w) in le for w in uppers)]
@@ -283,17 +248,12 @@ def _bounds(le, n):
         greatest = [u for u in lowers if all((w, u) in le for w in lowers)]
         return greatest[0] if greatest else None
 
-    return lub, glb
+    return all(lub((x, y)) is not None and glb((x, y)) is not None
+               for x in range(n) for y in range(x + 1, n))
 
 
 def poset_is_lattice(structure):
-    le = _poset_le(structure)
-    n = structure.size
-    if n == 0:
-        return True
-    lub, glb = _bounds(le, n)
-    return all(lub((x, y)) is not None and glb((x, y)) is not None
-               for x in range(n) for y in range(x + 1, n))
+    return _is_lattice(_family_pairs(structure, "poset"), structure.size)
 
 
 def poset_pair_witness(structure, limits=None):
@@ -302,7 +262,7 @@ def poset_pair_witness(structure, limits=None):
     dominate both targets); dually with lower bounds. Returns (1, map) or
     None when neither configuration exists."""
     limits = limits or default_limits()
-    le = _poset_le(structure)
+    le = _family_pairs(structure, "poset")
     n = structure.size
     incomp = [(x, y) for x in range(n) for y in range(n)
               if x != y and (x, y) not in le and (y, x) not in le]
@@ -319,23 +279,18 @@ def poset_pair_witness(structure, limits=None):
         if src is None or dst is None:
             continue
         f = PartialOpMap(1, n, {(src[0],): dst[0], (src[1],): dst[1]})
-        res = extendable(structure, f, limits)
-        if not res.not_extendable:
-            raise RuntimeError(
-                "internal error: %s-bound pair witness unexpectedly %s"
-                % (name, res.status))
-        return (1, f)
+        return _refuted(structure, f, "%s-bound pair witness" % name,
+                        limits)
     return None
 
 
 def classify_poset(structure, limits=None, with_witness=True):
     """PH exactly when the order is an antichain or a lattice."""
     limits = limits or default_limits()
-    le = _poset_le(structure)
+    le = _family_pairs(structure, "poset")
     n = structure.size
     antichain = all(a == b for a, b in le)
-    lattice = poset_is_lattice(structure)
-    lub, glb = _bounds(le, n)
+    lattice = _is_lattice(le, n)
     x5_dense = True
     for a1 in range(n):
         for a2 in range(n):
@@ -373,7 +328,7 @@ def realizer(structure):
     """Linear extensions of the poset whose intersection is exactly its
     order: two per incomparable pair (one per orientation), deduplicated,
     then greedily thinned. A chain realizes itself."""
-    le = _poset_le(structure)
+    le = _family_pairs(structure, "poset")
     n = structure.size
     incomp = [(x, y) for x in range(n) for y in range(x + 1, n)
               if (x, y) not in le and (y, x) not in le]
@@ -432,43 +387,18 @@ def realizer(structure):
 
 # ---------------------------------------------------------- strict posets
 
-def _strict_lt(structure):
-    rel = _single_binary(structure)
-    if rel is None:
-        raise StructureError(
-            "a strict poset carries exactly one binary relation")
-    lt = set(rel.tuples)
-    for a, b in lt:
-        if a == b:
-            raise StructureError("strict order has a loop at %d" % a)
-        if (b, a) in lt:
-            raise StructureError("strict order not asymmetric on %r"
-                                 % ((a, b),))
-    for a, b in lt:
-        for b2, c in lt:
-            if b == b2 and (a, c) not in lt:
-                raise StructureError(
-                    "strict order not transitive on %r" % ((a, b, c),))
-    return lt
-
-
 def strict_poset_witness(structure, limits=None):
     """Map some b to a minimal element a lying strictly below b; an
     extension would need the image of a strictly below a itself."""
     limits = limits or default_limits()
-    lt = _strict_lt(structure)
+    lt = _family_pairs(structure, "strict_poset")
     n = structure.size
     minimal = [v for v in range(n) if not any((u, v) in lt for u in range(n))]
     for a in minimal:
         above = sorted(b for b in range(n) if (a, b) in lt)
         if above:
-            f = PartialOpMap(1, n, {(above[0],): a})
-            res = extendable(structure, f, limits)
-            if not res.not_extendable:
-                raise RuntimeError(
-                    "internal error: strict witness unexpectedly %s"
-                    % res.status)
-            return (1, f)
+            return _refuted(structure, PartialOpMap(1, n, {(above[0],): a}),
+                            "strict witness", limits)
     return None
 
 
@@ -477,7 +407,7 @@ def classify_strict_poset(structure, limits=None, with_witness=True):
     strict order has a minimal element a below some b, and mapping b to a
     is a partial polymorphism with no extension."""
     limits = limits or default_limits()
-    lt = _strict_lt(structure)
+    lt = _family_pairs(structure, "strict_poset")
     reasons = {"is_empty_order": not lt,
                "finite_collapse": bool(lt)}
     if not lt:
@@ -505,15 +435,6 @@ def partitions_of(n):
         out.append(tuple(tuple(sorted(b))
                          for b in sorted(blocks.values())))
     return out
-
-
-def partition_pairs(part):
-    pairs = set()
-    for block in part:
-        for a in block:
-            for b in block:
-                pairs.add((a, b))
-    return pairs
 
 
 def pairs_to_partition(pairs, n):
@@ -562,12 +483,13 @@ def partition_join(p, q, n):
     return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
 
 
-def enumerate_meet_complete_sublattices(n, cap=100_000):
+def enumerate_meet_complete_sublattices(n):
     """All nonempty families of equivalence relations on 0..n-1 closed
     under pairwise meet (common refinement) and join (transitive closure
-    of the union), in canonical subset order."""
+    of the union), in canonical subset order. Raises StructureError past
+    MAX_LATTICE_PARTITIONS partitions or MAX_CLOSED_FAMILIES families."""
     parts = partitions_of(n)
-    if len(parts) > 20:
+    if len(parts) > MAX_LATTICE_PARTITIONS:
         raise StructureError(
             "partition lattice too large for exhaustive enumeration")
     index = {p: i for i, p in enumerate(parts)}
@@ -584,9 +506,9 @@ def enumerate_meet_complete_sublattices(n, cap=100_000):
             if all(meets[i, j] in chosen and joins[i, j] in chosen
                    for i in combo for j in combo):
                 out.append(tuple(parts[i] for i in combo))
-                if len(out) > cap:
+                if len(out) > MAX_CLOSED_FAMILIES:
                     raise StructureError(
-                        "more than %d closed families" % cap)
+                        "more than %d closed families" % MAX_CLOSED_FAMILIES)
     return out
 
 
@@ -623,10 +545,11 @@ def structure_partitions(structure):
     n = structure.size
     out = []
     for rel in structure.relations:
-        if rel.arity != 2 or not _is_equivalence(rel.tuples, n):
+        if rel.arity != 2:
             raise StructureError(
                 "relation %s is not an equivalence" % rel.name)
-        out.append(pairs_to_partition(set(rel.tuples), n))
+        check_family("eq_lattice", rel.name, rel.tuples, n)
+        out.append(pairs_to_partition(rel.tuples, n))
     return out
 
 
@@ -654,16 +577,16 @@ def classify_eq_lattice(structure, limits=None):
     return ClassReport("eq_lattice", verdict, reasons)
 
 
-def escalating_counterexample(structure, max_arity=ESCALATION_MAX_ARITY,
-                              max_domain=ESCALATION_MAX_DOMAIN, limits=None):
+def escalating_counterexample(structure, limits=None):
     """Scan partial maps in canonical order (arity, domain size, domain,
     values) for a partial polymorphism with an unsatisfiable extension
-    problem. Returns (arity, map) or None."""
+    problem, up to ESCALATION_MAX_ARITY and ESCALATION_MAX_DOMAIN domain
+    rows. Returns (arity, map) or None."""
     limits = limits or default_limits()
     n = structure.size
-    for k in range(1, max_arity + 1):
+    for k in range(1, ESCALATION_MAX_ARITY + 1):
         points = sorted(itertools.product(range(n), repeat=k))
-        for dsize in range(1, max_domain + 1):
+        for dsize in range(1, ESCALATION_MAX_DOMAIN + 1):
             for domain in itertools.combinations(points, dsize):
                 for values in itertools.product(range(n), repeat=dsize):
                     f = PartialOpMap(k, n, tuple(zip(domain, values)))
@@ -714,16 +637,16 @@ def kaarli_cross_check(n, limits=None):
 
 # -------------------------------------------------------------- dispatch
 
+CLASSIFIERS = {
+    "graph": classify_graph,
+    "poset": classify_poset,
+    "strict_poset": classify_strict_poset,
+    "eq_lattice": classify_eq_lattice,
+}
+
+
 def classify_structure(structure, limits=None):
     """Dispatch to the recognized family's classifier; None if the
     structure fits no classified family."""
     family = recognize_family(structure)
-    if family == "graph":
-        return classify_graph(structure, limits)
-    if family == "poset":
-        return classify_poset(structure, limits)
-    if family == "strict_poset":
-        return classify_strict_poset(structure, limits)
-    if family == "eq_lattice":
-        return classify_eq_lattice(structure, limits)
-    return None
+    return None if family is None else CLASSIFIERS[family](structure, limits)

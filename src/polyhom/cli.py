@@ -33,6 +33,9 @@ EXIT_INCONCLUSIVE = 1
 EXIT_INPUT = 2
 
 TIMING_KEYS = ("wall", "timing", "elapsed")
+# commands that report an EnvelopeError as an "exhausted" result; the
+# others print it on standard error
+EXHAUSTED_RESULT_COMMANDS = ("nu", "pol", "inv", "gamma", "pp")
 
 
 def _strip_timing(obj):
@@ -52,12 +55,22 @@ def _limits_from(args):
 
 
 class _Reporter:
-    def __init__(self, args, command):
+    def __init__(self, args):
         self.json_mode = args.json
         self.no_timing = args.no_timing
-        self.command = command
+        self.command = args.command
         self.input = getattr(args, "structure", None)
+        self.subject = None  # name of the loaded structure
         self.start = time.perf_counter()
+
+    def load(self, path):
+        try:
+            A = load_structure(path)
+        except OSError as e:
+            raise RelParseError("cannot read %s: %s" % (path, e.strerror or e),
+                                0)
+        self.subject = A.name
+        return A
 
     def emit(self, result, text_lines, exit_code):
         if self.json_mode:
@@ -81,18 +94,10 @@ class _Reporter:
         return exit_code
 
 
-def _load(path):
-    try:
-        return load_structure(path)
-    except OSError as e:
-        raise RelParseError("cannot read %s: %s" % (path, e.strerror or e), 0)
-
-
 # ------------------------------------------------------------- subcommands
 
-def _cmd_decide_ph(args):
-    rep = _Reporter(args, "decide-ph")
-    A = _load(args.structure)
+def _cmd_decide_ph(args, rep):
+    A = rep.load(args.structure)
     verdict = decide_ph(A, _limits_from(args))
     code = EXIT_OK if verdict.status in ("PH", "NotPH") else EXIT_INCONCLUSIVE
     lines = ["%s: %s" % (A.name, verdict.status)]
@@ -103,18 +108,16 @@ def _cmd_decide_ph(args):
     return rep.emit(verdict.to_json(), lines, code)
 
 
-def _cmd_check_hh(args):
-    rep = _Reporter(args, "check-hh")
-    A = _load(args.structure)
+def _cmd_check_hh(args, rep):
+    A = rep.load(args.structure)
     res = is_hom_homogeneous(A, _limits_from(args))
     code = EXIT_OK if res.status in ("holds", "fails") else EXIT_INCONCLUSIVE
     return rep.emit(res.to_json(),
                     ["%s: hom-homogeneous %s" % (A.name, res.status)], code)
 
 
-def _cmd_check_kph(args):
-    rep = _Reporter(args, "check-kph")
-    A = _load(args.structure)
+def _cmd_check_kph(args, rep):
+    A = rep.load(args.structure)
     res = is_k_ph(A, args.k, _limits_from(args))
     code = EXIT_OK if res.status in ("holds", "fails") else EXIT_INCONCLUSIVE
     return rep.emit(res.to_json(),
@@ -122,17 +125,11 @@ def _cmd_check_kph(args):
                      % (A.name, args.k, res.status)], code)
 
 
-def _cmd_nu(args):
-    rep = _Reporter(args, "nu")
-    A = _load(args.structure)
+def _cmd_nu(args, rep):
+    A = rep.load(args.structure)
     if args.arity < 3:
         raise StructureError("near-unanimity arity must be >= 3")
-    try:
-        res = find_nu_polymorphism(A, args.arity, _limits_from(args))
-    except EnvelopeError as e:
-        return rep.emit({"status": "exhausted", "reason": str(e)},
-                        ["%s: inconclusive (%s)" % (A.name, e)],
-                        EXIT_INCONCLUSIVE)
+    res = find_nu_polymorphism(A, args.arity, _limits_from(args))
     status = {"extendable": "found", "not_extendable": "none"}.get(
         res.status, res.status)
     code = (EXIT_OK if res.status in ("extendable", "not_extendable")
@@ -144,16 +141,10 @@ def _cmd_nu(args):
                           % (A.name, args.arity, status)], code)
 
 
-def _cmd_pol(args):
-    rep = _Reporter(args, "pol")
-    A = _load(args.structure)
-    try:
-        tables, complete = galois.enumerate_polymorphisms(
-            A, args.k, limits=_limits_from(args))
-    except EnvelopeError as e:
-        return rep.emit({"status": "exhausted", "reason": str(e)},
-                        ["%s: inconclusive (%s)" % (A.name, e)],
-                        EXIT_INCONCLUSIVE)
+def _cmd_pol(args, rep):
+    A = rep.load(args.structure)
+    tables, complete = galois.enumerate_polymorphisms(
+        A, args.k, limits=_limits_from(args))
     out = {"k": args.k, "count": len(tables), "complete": complete}
     if len(tables) <= args.list_cap:
         out["tables"] = [list(t.payload) for t in tables]
@@ -163,22 +154,16 @@ def _cmd_pol(args):
                              "" if complete else " (incomplete)")], code)
 
 
-def _cmd_inv(args):
-    rep = _Reporter(args, "inv")
-    A = _load(args.structure)
+def _cmd_inv(args, rep):
+    A = rep.load(args.structure)
     limits = _limits_from(args)
-    try:
-        ops = []
-        complete = True
-        for k in range(1, args.k + 1):
-            tables, comp = galois.enumerate_polymorphisms(A, k, limits=limits)
-            ops.extend(tables)
-            complete = complete and comp
-        family = galois.invariant_relations(ops, args.m, size=A.size)
-    except EnvelopeError as e:
-        return rep.emit({"status": "exhausted", "reason": str(e)},
-                        ["%s: inconclusive (%s)" % (A.name, e)],
-                        EXIT_INCONCLUSIVE)
+    ops = []
+    complete = True
+    for k in range(1, args.k + 1):
+        tables, comp = galois.enumerate_polymorphisms(A, k, limits=limits)
+        ops.extend(tables)
+        complete = complete and comp
+    family = galois.invariant_relations(ops, args.m, size=A.size)
     out = {"m": args.m, "ops_max_arity": args.k, "count": len(family),
            "complete": complete}
     if len(family) <= args.list_cap:
@@ -190,18 +175,12 @@ def _cmd_inv(args):
                           % (A.name, len(family), args.m, args.k)], code)
 
 
-def _cmd_gamma(args):
-    rep = _Reporter(args, "gamma")
-    A = _load(args.structure)
+def _cmd_gamma(args, rep):
+    A = rep.load(args.structure)
     arity, tuples = load_tuples(args.tuples)
     if arity is None:
         raise RelParseError("tuple file carries no arity", 1)
-    try:
-        members = galois.gamma_closure(A, tuples, _limits_from(args))
-    except EnvelopeError as e:
-        return rep.emit({"status": "exhausted", "reason": str(e)},
-                        ["%s: inconclusive (%s)" % (A.name, e)],
-                        EXIT_INCONCLUSIVE)
+    members = galois.gamma_closure(A, tuples, _limits_from(args))
     out = {"arity": arity, "generators": sorted(map(list, set(tuples))),
            "members": sorted(map(list, members))}
     return rep.emit(out, ["%s: closure has %d tuples"
@@ -210,26 +189,19 @@ def _cmd_gamma(args):
                      for t in sorted(members)], EXIT_OK)
 
 
-def _cmd_pp(args):
-    rep = _Reporter(args, "pp")
-    A = _load(args.structure)
+def _cmd_pp(args, rep):
+    A = rep.load(args.structure)
     arity, tuples = load_tuples(args.relation)
     if arity is None:
         raise RelParseError("tuple file carries no arity", 1)
-    try:
-        res = galois.is_pp_definable(A, tuples, _limits_from(args))
-    except EnvelopeError as e:
-        return rep.emit({"status": "exhausted", "reason": str(e)},
-                        ["%s: inconclusive (%s)" % (A.name, e)],
-                        EXIT_INCONCLUSIVE)
+    res = galois.is_pp_definable(A, tuples, _limits_from(args))
     verdict = "pp-definable" if res.definable else "not pp-definable"
     return rep.emit(res.to_json(), ["%s: %s" % (A.name, verdict)], EXIT_OK)
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, rep):
     from . import classify as cls
-    rep = _Reporter(args, "classify")
-    A = _load(args.structure)
+    A = rep.load(args.structure)
     limits = _limits_from(args)
     family = {"eqlattice": "eq_lattice", "strict": "strict_poset"}.get(
         args.family, args.family)
@@ -237,14 +209,8 @@ def _cmd_classify(args):
         report = cls.classify_structure(A, limits)
         if report is None:
             raise StructureError("structure fits no classified family")
-    elif family == "graph":
-        report = cls.classify_graph(A, limits)
-    elif family == "poset":
-        report = cls.classify_poset(A, limits)
-    elif family == "strict_poset":
-        report = cls.classify_strict_poset(A, limits)
     else:
-        report = cls.classify_eq_lattice(A, limits)
+        report = cls.CLASSIFIERS[family](A, limits)
     lines = ["%s: %s (%s)" % (A.name, report.verdict, report.family)]
     for key, val in sorted(report.reasons.items()):
         if isinstance(val, bool):
@@ -252,8 +218,7 @@ def _cmd_classify(args):
     return rep.emit(report.to_json(), lines, EXIT_OK)
 
 
-def _cmd_crosscheck(args):
-    rep = _Reporter(args, "crosscheck")
+def _cmd_crosscheck(args, rep):
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise StructureError("unknown suite %r; choose from %s"
                              % (args.suite, ", ".join(SUITE_NAMES + ("all",))))
@@ -271,8 +236,7 @@ def _cmd_crosscheck(args):
     return rep.emit(report, lines, code)
 
 
-def _cmd_gen(args):
-    rep = _Reporter(args, "gen")
+def _cmd_gen(args, rep):
     mode = "random" if args.count is not None else "all"
     structures = gen.generate(
         args.family, size=args.size, mode=mode,
@@ -395,14 +359,19 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
+    rep = _Reporter(args)
     try:
-        return args.func(args)
+        return args.func(args, rep)
     except (RelParseError, StructureError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     except EnvelopeError as e:
-        print("inconclusive: %s" % e, file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        if args.command not in EXHAUSTED_RESULT_COMMANDS:
+            print("inconclusive: %s" % e, file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        return rep.emit({"status": "exhausted", "reason": str(e)},
+                        ["%s: inconclusive (%s)" % (rep.subject, e)],
+                        EXIT_INCONCLUSIVE)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 
 from .structures import PartialOpMap, canonical_structure, power
-from .homogeneity import (FunctionTable, decide_ph, extendable,
-                          is_k_ph, is_partial_polymorphism)
+from .homogeneity import (FunctionTable, canonical_partial_nu, decide_ph,
+                          extendable, is_k_ph, is_partial_polymorphism)
 from .search import default_limits
 from . import generate as gen
 from . import galois
@@ -71,22 +71,6 @@ def _table_from_json(obj):
     return None
 
 
-def _is_nu_table(ft):
-    n, r = ft.size, ft.arity
-    for a in range(n):
-        if ft.apply((a,) * r) != a:
-            return False
-        for b in range(n):
-            if b == a:
-                continue
-            for i in range(r):
-                t = [a] * r
-                t[i] = b
-                if ft.apply(tuple(t)) != a:
-                    return False
-    return True
-
-
 def verify_certificate(structure, verdict_json, limits=None):
     """Re-check an embedded certificate independently of the pipeline that
     produced it. Returns {ok, kind, checks}; a NotPH map must re-verify as
@@ -128,11 +112,17 @@ def verify_certificate(structure, verdict_json, limits=None):
                                "ok": False})
                 ok = False
             else:
-                good = _is_nu_table(ft)
+                # a total operation is near-unanimity iff it extends the
+                # canonical partial near-unanimity map
+                same_size = ft.size == structure.size
+                good = (same_size and ft.arity >= 3
+                        and ft.extends(canonical_partial_nu(structure,
+                                                            ft.arity)))
                 checks.append({"check": "nu_witness_is_nu", "ok": good})
                 total = PartialOpMap(ft.arity, ft.size,
                                      tuple(ft.graph_entries()))
-                good2, _ = is_partial_polymorphism(structure, total)
+                good2 = (same_size
+                         and is_partial_polymorphism(structure, total)[0])
                 checks.append({"check": "nu_witness_is_polymorphism",
                                "ok": good2})
                 ok = ok and good and good2

@@ -31,6 +31,10 @@ from .homogeneity import FunctionTable, extendable
 MAX_INV_POINTS = 24
 MAX_INV_MEMBERS = 1 << 16
 MAX_QF_POINTS = 1 << 20
+# coordinate selections of one relation among the qf atoms over A^m
+MAX_QF_SELECTIONS = 1_000_000
+# cross_check_inv_pol: points of A^m whose subsets it closes one by one
+MAX_GAMMA_FAMILY_POINTS = 16
 # check_finite_polylocal: nonempty tuple sets over A^m
 MAX_POLYLOCAL_SETS = 1 << 16
 
@@ -79,7 +83,7 @@ class QfAtoms:
         for rel in structure.relations:
             if not rel.tuples:
                 continue
-            if m ** rel.arity > 1_000_000:
+            if m ** rel.arity > MAX_QF_SELECTIONS:
                 raise EnvelopeError(
                     "qf closure needs %d selections for relation %s"
                     % (m ** rel.arity, rel.name))
@@ -285,20 +289,20 @@ class PpResult:
         return out
 
 
-def is_pp_definable(structure, sigma, limits=None, empty_is_definable=True):
+def is_pp_definable(structure, sigma, limits=None):
     """Is sigma a primitive-positive-definable relation of the structure,
     i.e. closed under all polymorphisms of arity |sigma|?
 
     sigma is a RelationSet or an iterable of same-arity tuples. The empty
-    relation is definable by convention (controlled by the flag). On a
-    negative answer the witness is the first closure tuple outside sigma.
+    relation is definable by convention. On a negative answer the witness
+    is the first closure tuple outside sigma.
     """
     if isinstance(sigma, RelationSet):
         tuples = set(sigma.tuples)
     else:
         tuples = set(map(tuple, sigma))
     if not tuples:
-        return PpResult(bool(empty_is_definable), None, [],
+        return PpResult(True, None, [],
                         {"note": "empty relation handled by convention"})
     closure = gamma_closure(structure, tuples, limits)
     extra = [b for b in closure if b not in tuples]
@@ -364,14 +368,13 @@ def _closure_under_ops(points, index, ops, seed):
     return frozenset(current)
 
 
-def invariant_relations(ops, m, size=None, mode="exhaustive", seeds=(),
-                        max_members=MAX_INV_MEMBERS):
+def invariant_relations(ops, m, size=None):
     """Relations of arity m closed under every operation in ops.
 
-    ops: FunctionTables over one carrier. mode 'exhaustive' enumerates the
-    whole closed-set lattice (next-closure order); 'generated' returns the
-    closures of the given seed tuple sets. The empty relation and the full
-    relation are closed and always appear in exhaustive mode.
+    ops: FunctionTables over one carrier. Enumerates the whole closed-set
+    lattice in next-closure order; the empty relation and the full relation
+    are closed and always appear. Raises EnvelopeError past MAX_INV_POINTS
+    points or MAX_INV_MEMBERS relations.
     """
     if not ops and size is None:
         raise ValueError("need ops or an explicit carrier size")
@@ -380,7 +383,7 @@ def invariant_relations(ops, m, size=None, mode="exhaustive", seeds=(),
         if ft.size != n:
             raise StructureError("operations disagree on the carrier size")
     npoints = n ** m
-    if mode == "exhaustive" and npoints > MAX_INV_POINTS:
+    if npoints > MAX_INV_POINTS:
         raise EnvelopeError(
             "exhaustive invariant enumeration over %d points (cap %d)"
             % (npoints, MAX_INV_POINTS))
@@ -390,23 +393,13 @@ def invariant_relations(ops, m, size=None, mode="exhaustive", seeds=(),
     def close(seed_idx):
         return _closure_under_ops(points, index, ops, seed_idx)
 
-    if mode == "generated":
-        members = []
-        for seed in seeds:
-            seed_idx = {index[tuple(t)] for t in seed}
-            closed = close(seed_idx)
-            members.append(frozenset(points[i] for i in closed))
-        return RelationFamily(m, n, tuple(set(members)))
-    if mode != "exhaustive":
-        raise ValueError("mode must be 'exhaustive' or 'generated'")
-
     members = []
     current = close(frozenset())
     members.append(current)
     while True:
-        if len(members) > max_members:
+        if len(members) > MAX_INV_MEMBERS:
             raise EnvelopeError(
-                "more than %d closed relations" % (max_members,))
+                "more than %d closed relations" % (MAX_INV_MEMBERS,))
         nxt = None
         for i in range(npoints - 1, -1, -1):
             if i in current:
@@ -500,7 +493,7 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     limits = limits or default_limits()
     n = structure.size
     space = n ** m
-    if space > 16:
+    if space > MAX_GAMMA_FAMILY_POINTS:
         raise EnvelopeError(
             "gamma-closed family enumeration over %d points" % space)
     points = sorted(itertools.product(range(n), repeat=m))

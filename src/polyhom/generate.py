@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .structures import FiniteStructure, Relation, StructureError
+from .structures import (FiniteStructure, Relation, StructureError,
+                         broken_axiom, canonical_structure)
 
 # exhaustive-mode bounds enforced at the command-line level
 CLI_MAX_GRAPH_SIZE = 5
@@ -31,33 +32,27 @@ def normalize_family(name):
     return key
 
 
-def _graph_structure(n, edges, name):
-    tuples = set()
-    for a, b in edges:
-        tuples.add((a, b))
-        tuples.add((b, a))
-    return FiniteStructure(n, [Relation("edge", 2, tuples)], name=name)
+def _order_structure(family, n, strict_pairs, name):
+    """The poset or strict poset whose off-diagonal pairs are strict_pairs,
+    or None when they are not the strict part of an order, which is
+    exactly when they break a strict-order axiom."""
+    if broken_axiom(set(strict_pairs), n, "strict_poset") is not None:
+        return None
+    if family == "poset":
+        strict_pairs = [(i, i) for i in range(n)] + strict_pairs
+    return canonical_structure(family, n, strict_pairs, name=name)
 
 
-def _poset_structure(n, extra, name):
-    tuples = {(i, i) for i in range(n)} | set(extra)
-    return FiniteStructure(n, [Relation("le", 2, tuples)], name=name)
-
-
-def _strict_structure(n, pairs, name):
-    return FiniteStructure(n, [Relation("lt", 2, set(pairs))], name=name)
-
-
-def _is_transitive(pairs):
-    s = set(pairs)
-    return all((a, c) in s for a, b in s for b2, c in s if b == b2)
-
-
-def _is_poset_extra(pairs):
-    s = set(pairs)
-    if any((b, a) in s for a, b in s):
-        return False
-    return _is_transitive(s)
+def _all_orders(family, n):
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    out = []
+    for mask in range(1 << len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        A = _order_structure(family, n, chosen,
+                             "%s%d_%04d" % (family, n, mask))
+        if A is not None:
+            out.append(A)
+    return out
 
 
 def all_graphs(n):
@@ -67,8 +62,8 @@ def all_graphs(n):
     out = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        out.append(_graph_structure(
-            n, edges, name="graph%d_%04d" % (n, mask)))
+        out.append(canonical_structure(
+            "graph", n, edges, name="graph%d_%04d" % (n, mask)))
     return out
 
 
@@ -76,27 +71,13 @@ def all_posets(n):
     """Every labeled partial order on n points (reflexive relation), by
     ascending bitmask over off-diagonal pairs, filtered for antisymmetry
     and transitivity."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out = []
-    for mask in range(1 << len(pairs)):
-        extra = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if _is_poset_extra(extra):
-            out.append(_poset_structure(
-                n, extra, name="poset%d_%04d" % (n, mask)))
-    return out
+    return _all_orders("poset", n)
 
 
 def all_strict_posets(n):
     """Every labeled strict order on n points (irreflexive, asymmetric,
     transitive), same enumeration order as all_posets."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if _is_poset_extra(chosen):
-            out.append(_strict_structure(
-                n, chosen, name="strict%d_%04d" % (n, mask)))
-    return out
+    return _all_orders("strict", n)
 
 
 def all_n2_binary():
@@ -120,8 +101,8 @@ def random_structures(family, n, count, seed):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for i in range(count):
             edges = [pq for pq in pairs if rng.random() < 0.5]
-            out.append(_graph_structure(n, edges,
-                                        name="graph%d_r%03d" % (n, i)))
+            out.append(canonical_structure("graph", n, edges,
+                                           name="graph%d_r%03d" % (n, i)))
         return out
     if family == "n2-binary":
         points = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -134,17 +115,14 @@ def random_structures(family, n, count, seed):
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         for i in range(count):
             for _ in range(100_000):
-                chosen = [pq for pq in pairs if rng.random() < 0.3]
-                if _is_poset_extra(chosen):
+                A = _order_structure(
+                    family, n, [pq for pq in pairs if rng.random() < 0.3],
+                    "%s%d_r%03d" % (family, n, i))
+                if A is not None:
                     break
             else:
                 raise StructureError("rejection sampling failed")
-            if family == "poset":
-                out.append(_poset_structure(
-                    n, chosen, name="poset%d_r%03d" % (n, i)))
-            else:
-                out.append(_strict_structure(
-                    n, chosen, name="strict%d_r%03d" % (n, i)))
+            out.append(A)
         return out
     raise StructureError("unknown generator family %r" % family)
 

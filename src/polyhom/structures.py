@@ -1,4 +1,6 @@
-"""Finite relational structures, lazy powers, partial operation tables.
+"""Finite relational structures, lazy powers, partial operation tables,
+and the axioms of the classified families (FAMILY_AXIOMS), which every
+family check goes through.
 
 Elements are dense integers 0..n-1. Power elements are base-n encoded
 integers (big-endian: the first coordinate is the most significant digit),
@@ -14,6 +16,9 @@ from functools import cached_property
 # Powers are never materialized above this many elements; consumers must
 # go through the lazy handle beyond it.
 MAX_MATERIALIZED_POWER = 1 << 20
+# Tuples one relation of a materialized power or of a substructure of a
+# power may list or test.
+MAX_MATERIALIZED_TUPLES = 1 << 22
 
 
 class StructureError(ValueError):
@@ -242,30 +247,28 @@ class PowerHandle:
                 return False
         return True
 
-    def materialize(self, name=None, max_size=MAX_MATERIALIZED_POWER,
-                    max_tuples=1 << 22):
+    def materialize(self):
         """Explicit product structure; guarded against blow-up."""
-        if self.size > max_size:
+        if self.size > MAX_MATERIALIZED_POWER:
             raise EnvelopeError(
                 "refusing to materialize power with %d elements (cap %d)"
-                % (self.size, max_size))
+                % (self.size, MAX_MATERIALIZED_POWER))
         n = self.base.size
         k = self.exponent
         rels = []
         for rel in self.base.relations:
             count = len(rel.tuples) ** k
-            if count > max_tuples:
+            if count > MAX_MATERIALIZED_TUPLES:
                 raise EnvelopeError(
                     "relation %s would materialize %d tuples (cap %d)"
-                    % (rel.name, count, max_tuples))
+                    % (rel.name, count, MAX_MATERIALIZED_TUPLES))
             tuples = set()
             for choice in itertools.product(rel.sorted_tuples, repeat=k):
                 # choice[j] is the j-th coordinate's base tuple
                 tuples.add(tuple(self.encode(tuple(choice[j][i] for j in range(k)))
                                  for i in range(rel.arity)))
             rels.append(Relation(rel.name, rel.arity, frozenset(tuples)))
-        return FiniteStructure(self.size, tuple(rels),
-                               name=name or self.name)
+        return FiniteStructure(self.size, tuple(rels), name=self.name)
 
 
 def power(structure, k):
@@ -302,7 +305,7 @@ def induced_substructure(structure, elements):
         index = {e: i for i, e in enumerate(subset)}
         rels = []
         for rel_name, arity in structure.signature:
-            if len(subset) ** arity > (1 << 22):
+            if len(subset) ** arity > MAX_MATERIALIZED_TUPLES:
                 raise EnvelopeError("substructure restriction too large")
             tuples = frozenset(
                 tuple(index[c] for c in combo)
@@ -327,13 +330,9 @@ def induced_substructure(structure, elements):
     return sub, tuple(subset)
 
 
-def _partition_relation(n, blocks):
-    pairs = set()
-    for block in blocks:
-        for a in block:
-            for b in block:
-                pairs.add((a, b))
-    return frozenset(pairs)
+def partition_pairs(blocks):
+    """The equivalence relation whose classes are the blocks, as pairs."""
+    return frozenset((a, b) for block in blocks for a in block for b in block)
 
 
 def _validate_partition(n, blocks, which, violations):
@@ -349,6 +348,53 @@ def _validate_partition(n, blocks, which, violations):
                            "partition %r does not partition 0..%d" % (blocks, n - 1)))
 
 
+# The axioms of each classified family's binary relations, in recognition
+# order: the empty relation is both an edgeless graph and an empty strict
+# order, and is recognized as the graph.
+FAMILY_AXIOMS = {
+    "graph": ("irreflexive", "symmetric"),
+    "poset": ("reflexive", "antisymmetric", "transitive"),
+    "strict_poset": ("irreflexive", "transitive"),
+    "eq_lattice": ("reflexive", "symmetric", "transitive"),
+}
+
+
+def broken_axiom(pairs, n, family):
+    """The first axiom of the family that the binary relation pairs (a
+    set) on 0..n-1 breaks, with its least witness, or None. A witness is
+    the pair (a, a) missing or present, the pair (a, b) whose converse is
+    missing or present, or the path (a, b, c) whose shortcut (a, c) is
+    missing."""
+    for axiom in FAMILY_AXIOMS[family]:
+        if axiom == "reflexive":
+            bad = [(a, a) for a in range(n) if (a, a) not in pairs]
+        elif axiom == "irreflexive":
+            bad = [(a, a) for a in range(n) if (a, a) in pairs]
+        elif axiom == "symmetric":
+            bad = [(a, b) for a, b in pairs if (b, a) not in pairs]
+        elif axiom == "antisymmetric":
+            bad = [(a, b) for a, b in pairs if a != b and (b, a) in pairs]
+        else:
+            after = {}
+            for a, b in pairs:
+                after.setdefault(a, []).append(b)
+            bad = [(a, b, c) for a, b in pairs for c in after.get(b, ())
+                   if (a, c) not in pairs]
+        if bad:
+            return axiom, min(bad)
+    return None
+
+
+def check_family(family, symbol, pairs, n):
+    """Raise StructureError, naming the relation symbol, when pairs breaks
+    an axiom of the family."""
+    broken = broken_axiom(pairs, n, family)
+    if broken is not None:
+        rule = "not %s: witness %r" % broken
+        raise StructureError("invalid %s: %s %s" % (family, symbol, rule),
+                             [(symbol, -1, rule)])
+
+
 def canonical_structure(family, n, data, name=""):
     """Canonical relational structure of a graph, poset, strict poset, or
     family of equivalence relations; family axioms verified with witnesses.
@@ -357,69 +403,19 @@ def canonical_structure(family, n, data, name=""):
     poset - the full reflexive order relation as pairs; strict_poset - the
     strict order pairs; eq_lattice - list of partitions (lists of blocks).
     """
-    violations = []
-    if family == "graph":
-        tuples = set()
-        for e in data:
-            e = tuple(e)
-            if len(e) != 2:
-                violations.append(("edge", -1, "edge %r is not a pair" % (e,)))
-                continue
-            a, b = e
-            if a == b:
-                violations.append(("edge", -1, "loop at %r not allowed" % (a,)))
-                continue
-            tuples.add(e)
-            tuples.add((b, a))
-        if violations:
-            raise StructureError("invalid graph", violations)
-        return FiniteStructure(n, (Relation("edge", 2, frozenset(tuples)),),
-                               name=name or "graph")
-    if family == "poset":
-        pairs = set(map(tuple, data))
-        for a in range(n):
-            if (a, a) not in pairs:
-                violations.append(("le", -1, "not reflexive: missing (%d,%d)" % (a, a)))
-        for a, b in sorted(pairs):
-            if a != b and (b, a) in pairs:
-                violations.append(("le", -1,
-                                   "not antisymmetric: witness (%d,%d)" % (a, b)))
-        for a, b in sorted(pairs):
-            for c, d in sorted(pairs):
-                if b == c and (a, d) not in pairs:
-                    violations.append(
-                        ("le", -1, "not transitive: (%d,%d),(%d,%d) but (%d,%d) missing"
-                         % (a, b, c, d, a, d)))
-        if violations:
-            raise StructureError("invalid poset", violations)
-        return FiniteStructure(n, (Relation("le", 2, frozenset(pairs)),),
-                               name=name or "poset")
-    if family in ("strict_poset", "strict"):
-        pairs = set(map(tuple, data))
-        for a, b in sorted(pairs):
-            if a == b:
-                violations.append(("lt", -1, "not asymmetric: witness (%d,%d)" % (a, a)))
-            elif (b, a) in pairs:
-                violations.append(("lt", -1, "not asymmetric: witness (%d,%d)" % (a, b)))
-        for a, b in sorted(pairs):
-            for c, d in sorted(pairs):
-                if b == c and (a, d) not in pairs:
-                    violations.append(
-                        ("lt", -1, "not transitive: (%d,%d),(%d,%d) but (%d,%d) missing"
-                         % (a, b, c, d, a, d)))
-        if violations:
-            raise StructureError("invalid strict poset", violations)
-        return FiniteStructure(n, (Relation("lt", 2, frozenset(pairs)),),
-                               name=name or "strict_poset")
-    if family in ("eq_lattice", "eqlattice"):
-        partitions = list(data)
+    if family == "strict":
+        family = "strict_poset"
+    elif family == "eqlattice":
+        family = "eq_lattice"
+    if family == "eq_lattice":
+        violations = []
         rels = []
         seen = set()
-        for i, blocks in enumerate(partitions):
+        for i, blocks in enumerate(data):
             _validate_partition(n, blocks, "th%d" % i, violations)
             if violations:
                 raise StructureError("invalid equivalence family", violations)
-            pairs = _partition_relation(n, blocks)
+            pairs = partition_pairs(blocks)
             if pairs in seen:
                 violations.append(("th%d" % i, -1, "duplicate partition %r" % (blocks,)))
             seen.add(pairs)
@@ -427,7 +423,17 @@ def canonical_structure(family, n, data, name=""):
         if violations:
             raise StructureError("invalid equivalence family", violations)
         return FiniteStructure(n, tuple(rels), name=name or "eq_lattice")
-    raise StructureError("unknown family %r" % (family,))
+    if family not in FAMILY_AXIOMS:
+        raise StructureError("unknown family %r" % (family,))
+    symbol = {"graph": "edge", "poset": "le", "strict_poset": "lt"}[family]
+    pairs = set(map(tuple, data))
+    if family == "graph":
+        pairs |= {e[::-1] for e in pairs}
+    pairs = frozenset(pairs)
+    structure = FiniteStructure(n, (Relation(symbol, 2, pairs),),
+                                name=name or family)
+    check_family(family, symbol, pairs, n)
+    return structure
 
 
 @dataclass(frozen=True)

@@ -196,3 +196,21 @@ def oracle_pp_definable(structure, m, qvars):
                          if mask >> index[a] & 1)
         definable.add(proj)
     return definable
+
+
+def oracle_families(pairs, n):
+    """The classified families whose axioms the binary relation pairs on
+    0..n-1 satisfies, straight from the definitions."""
+    pairs = set(pairs)
+    reflexive = all((a, a) in pairs for a in range(n))
+    irreflexive = all((a, a) not in pairs for a in range(n))
+    symmetric = all((b, a) in pairs for a, b in pairs)
+    antisymmetric = all(a == b or (b, a) not in pairs for a, b in pairs)
+    transitive = all((a, d) in pairs
+                     for a, b in pairs for c, d in pairs if b == c)
+    return {
+        "graph": irreflexive and symmetric,
+        "poset": reflexive and antisymmetric and transitive,
+        "strict_poset": irreflexive and transitive,
+        "eq_lattice": reflexive and symmetric and transitive,
+    }

@@ -17,7 +17,7 @@ from polyhom import (FiniteStructure, Relation, StructureError,
                      strict_poset_witness)
 from polyhom.generate import (all_graphs, all_posets, all_strict_posets)
 
-from oracles import oracle_is_partial_polymorphism
+from oracles import oracle_families, oracle_is_partial_polymorphism
 
 
 def relabel(structure, perm):
@@ -443,6 +443,45 @@ def test_recognize_family_on_generated_structures():
         2, [Relation("r", 2, {(0, 0)})])) is None
     assert recognize_family(FiniteStructure(
         2, [Relation("r", 3, {(0, 0, 1)})])) is None
+
+
+def test_family_checks_follow_the_axioms_on_every_small_relation():
+    # every binary relation on 1 to 3 points: recognition picks the first
+    # family, in the order graph, poset, strict_poset, eq_lattice, whose
+    # axioms hold; canonical_structure and the classifiers accept exactly
+    # the relations satisfying their family's axioms
+    symbols = {"graph": "edge", "poset": "le", "strict_poset": "lt"}
+    classifiers = {"graph": classify_graph, "poset": classify_poset,
+                   "strict_poset": classify_strict_poset}
+    for n in (1, 2, 3):
+        points = list(itertools.product(range(n), repeat=2))
+        for mask in range(1 << len(points)):
+            pairs = {points[i] for i in range(len(points)) if mask >> i & 1}
+            holds = oracle_families(pairs, n)
+            A = FiniteStructure(n, [Relation("r", 2, pairs)])
+            assert recognize_family(A) == next(
+                (f for f in ("graph", "poset", "strict_poset", "eq_lattice")
+                 if holds[f]), None), (n, pairs)
+            for family, symbol in symbols.items():
+                # graph data are edges, closed under symmetry
+                want = pairs | {(b, a) for a, b in pairs} \
+                    if family == "graph" else pairs
+                if oracle_families(want, n)[family]:
+                    B = canonical_structure(family, n, pairs)
+                    assert B.relations[0].name == symbol
+                    assert B.relations[0].tuples == want
+                else:
+                    with pytest.raises(StructureError) as e:
+                        canonical_structure(family, n, pairs)
+                    assert e.value.violations
+                    assert all(v[0] == symbol for v in e.value.violations)
+            for family, classify in classifiers.items():
+                if holds[family]:
+                    assert classify(A, with_witness=False).family == family
+                else:
+                    with pytest.raises(StructureError) as e:
+                        classify(A, with_witness=False)
+                    assert [v[0] for v in e.value.violations] == ["r"]
 
 
 def test_classify_structure_dispatch():

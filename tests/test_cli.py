@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON envelopes, determinism."""
 
+import itertools
 import json
 
 import pytest
@@ -173,6 +174,33 @@ def test_pp_command(rel, tuplefile, capsys):
                                   rel(chain2())])
     assert code == 0
     assert env["result"]["definable"] is True
+
+
+def test_envelope_errors_report_exhausted(rel, tuplefile, capsys):
+    # gamma: nine distinct columns over a ternary relation on three points
+    # need a 3^9-variable extension CSP, past the envelope
+    cyc = FiniteStructure(3, [Relation("cyc", 3, {(0, 1, 2), (1, 2, 0),
+                                                  (2, 0, 1)})], name="cyc")
+    tau = tuplefile("tau9.tuples", 3,
+                    sorted(itertools.product(range(3), repeat=3))[:9])
+    code, env = run_json(capsys, ["gamma", "--tuples", tau, rel(cyc)])
+    assert code == 1 and env["exit_code"] == 1
+    assert env["command"] == "gamma"
+    assert env["result"] == {
+        "status": "exhausted",
+        "reason": "power source with arity >= 3 relations has 19683 "
+                  "elements (materialization cap 4096)"}
+    # inv: 2^5 = 32 points exceed the exhaustive enumeration cap
+    code, env = run_json(capsys, ["inv", "--m", "5", rel(chain2())])
+    assert code == 1 and env["exit_code"] == 1
+    assert env["command"] == "inv"
+    assert env["result"] == {
+        "status": "exhausted",
+        "reason": "exhaustive invariant enumeration over 32 points (cap 24)"}
+    assert main(["inv", "--m", "5", rel(chain2())]) == 1
+    assert capsys.readouterr().out == (
+        "chain2: inconclusive (exhaustive invariant enumeration over 32 "
+        "points (cap 24))\n")
 
 
 def test_classify_command(rel, capsys):

@@ -1,6 +1,7 @@
 """Batch validation suites and independent certificate re-verification."""
 
 import copy
+import itertools
 import json
 
 import pytest
@@ -86,6 +87,16 @@ def test_tampered_nu_witness_is_rejected():
     values[0] = (values[0] + 1) % 2
     res = verify_certificate(chain2(), tampered)
     assert not res["ok"], res
+    # a projection is a polymorphism but not near-unanimity
+    projection = copy.deepcopy(verdict)
+    projection["certificate"]["nu_witness"] = {
+        "arity": 3, "size": 2, "kind": "table",
+        "values": [a for a, _, _ in itertools.product(range(2), repeat=3)]}
+    res = verify_certificate(chain2(), projection)
+    checks = {c["check"]: c["ok"] for c in res["checks"]}
+    assert not res["ok"]
+    assert checks["nu_witness_is_nu"] is False
+    assert checks["nu_witness_is_polymorphism"] is True
 
 
 def test_status_certificate_mismatches_are_rejected():

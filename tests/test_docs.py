@@ -7,7 +7,7 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 # `module.NAME` = value, the value written as 4096, 2,000,000 or 2^20
 NAMED_VALUE = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = ([\d,]+(?:\^\d+)?)")
-CAP_MODULES = ("search", "structures", "homogeneity", "galois")
+CAP_MODULES = ("search", "structures", "homogeneity", "galois", "classify")
 
 
 def _budgets_section():

@@ -8,6 +8,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      check_finite_polylocal, cross_check_inv_pol,
                      enumerate_polymorphisms, gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
+from polyhom import galois
 from polyhom.galois import QfAtoms, RelationFamily
 from polyhom.generate import all_graphs, all_n2_binary, all_posets
 
@@ -258,8 +259,6 @@ def test_pp_definability_known_answers():
 
 def test_pp_definability_empty_relation_convention():
     assert is_pp_definable(chain2(), []).definable
-    assert not is_pp_definable(chain2(), [],
-                               empty_is_definable=False).definable
 
 
 # --------------------------------------------------------- invariant families
@@ -310,27 +309,15 @@ def test_invariant_relations_always_contain_diagonal_and_full():
         assert [] in family
 
 
-def test_invariant_relations_generated_mode():
-    tables = []
-    for k in (1, 2):
-        got, _ = enumerate_polymorphisms(chain2(), k)
-        tables.extend(got)
-    family = invariant_relations(tables, 2, size=2, mode="generated",
-                                 seeds=[{(0, 1)}])
-    assert len(family) == 1
-    assert family.members[0] == frozenset({(0, 0), (0, 1), (1, 1)})
-
-
-def test_invariant_relations_errors():
+def test_invariant_relations_errors(monkeypatch):
     tables, _ = enumerate_polymorphisms(chain2(), 1)
     with pytest.raises(ValueError):
         invariant_relations([], 1)
-    with pytest.raises(ValueError):
-        invariant_relations(tables, 1, size=2, mode="sideways")
     with pytest.raises(EnvelopeError):
         invariant_relations(tables, 5, size=2)
+    monkeypatch.setattr(galois, "MAX_INV_MEMBERS", 10)
     with pytest.raises(EnvelopeError):
-        invariant_relations([], 2, size=2, max_members=10)
+        invariant_relations([], 2, size=2)
     other, _ = enumerate_polymorphisms(path3(), 1)
     with pytest.raises(StructureError):
         invariant_relations(tables + other, 1, size=2)

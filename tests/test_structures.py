@@ -181,7 +181,7 @@ def test_power_membership_equals_materialized():
 def test_power_materialize_cap():
     A = chain2()
     with pytest.raises(EnvelopeError):
-        power(A, 21).materialize(max_size=1 << 20)
+        power(A, 21).materialize()
 
 
 def test_induced_substructure_reindexes():
