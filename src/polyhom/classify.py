@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
                          StructureError, broken_axiom, canonical_structure,
-                         check_family, partition_pairs)
+                         check_family, partition_pairs, shared_tuple)
 from .search import default_limits
 from .homogeneity import (canonical_partial_nu, extendable,
                           is_partial_polymorphism)
@@ -32,7 +32,7 @@ MAX_LATTICE_PARTITIONS = 20
 MAX_CLOSED_FAMILIES = 100_000
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassReport:
     family: str
     verdict: str  # "PH" | "NotPH"
@@ -126,8 +126,8 @@ def _components(nbrs):
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+        comps.append(shared_tuple(tuple(sorted(comp))))
+    return tuple(comps)
 
 
 def graph_property_star(structure):

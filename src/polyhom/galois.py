@@ -37,16 +37,20 @@ MAX_QF_SELECTIONS = 1_000_000
 MAX_GAMMA_FAMILY_POINTS = 16
 # check_finite_polylocal: nonempty tuple sets over A^m
 MAX_POLYLOCAL_SETS = 1 << 16
+# enumerate_polymorphisms: tables listed before it reports incomplete
+MAX_ENUMERATED_POLYMORPHISMS = 1 << 15
 
 
-def enumerate_polymorphisms(structure, k, cap=1 << 15, limits=None):
+def enumerate_polymorphisms(structure, k, limits=None):
     """All k-ary polymorphisms as FunctionTables, engine-enumerated in
-    lexicographic table order. Returns (tables, complete). Raises
-    EnvelopeError past search.MAX_CSP_VARS table entries."""
+    lexicographic table order. Returns (tables, complete); complete is
+    False when the listing stopped at MAX_ENUMERATED_POLYMORPHISMS tables
+    or at a budget. Raises EnvelopeError past search.MAX_CSP_VARS table
+    entries."""
     n = structure.size
     source = power(structure, k) if k > 1 else structure
     sols, complete = enumerate_solutions(
-        ExtensionProblem(source, structure), cap=cap,
+        ExtensionProblem(source, structure), cap=MAX_ENUMERATED_POLYMORPHISMS,
         limits=limits or SearchLimits(node_budget=10_000_000))
     out = []
     for s in sols:

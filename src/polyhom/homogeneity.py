@@ -273,7 +273,7 @@ def find_nu_polymorphism(structure, r, limits=None):
     return res
 
 
-@dataclass
+@dataclass(slots=True)
 class KphResult:
     status: str  # holds | fails | exhausted
     counterexample: dict = None
@@ -307,13 +307,14 @@ def _blocking_patterns_all_values(structure, x, k, budget):
 
     A violation selects rows w_1..w_r (x among them) whose k columns all
     lie in the relation while the image tuple does not. Enumerated by
-    choosing the k columns independently from the relation.
+    choosing the k columns independently from the relation, in set order:
+    the patterns are sorted before they are returned.
     """
     n = structure.size
     patterns = [[] for _ in range(n)]
     for rel in structure.relations:
         r = rel.arity
-        tuples = rel.sorted_tuples
+        tuples = rel.tuples
         if not tuples:
             continue
         combos = len(tuples) ** k
@@ -354,14 +355,21 @@ def _one_point_counterexample(structure, k, limits):
     for each blocked value keep the rows of one immediate violation, which
     is at most (max arity - 1) rows per value, and a restriction of a
     partial polymorphism stays one.
+
+    Only non-decreasing points x are visited, one per orbit of the
+    coordinate permutations, in lexicographic order. Permuting coordinates
+    by pi permutes the columns of every row selection and keeps its
+    entries, so it sends a partial polymorphism stuck at x to one stuck at
+    pi(x). The search at each point is complete, so the points where it
+    succeeds are closed under pi, and the lexicographically first of them
+    is non-decreasing: the answer is the one a scan of all n^k points
+    gives, with fewer steps.
     """
     n = structure.size
     budget = _Budget(limits)
     exhausted = False
-    handle = power(structure, k)
     try:
-        for code in range(n ** k):
-            x = handle.decode(code)
+        for x in itertools.combinations_with_replacement(range(n), k):
             try:
                 by_value = _blocking_patterns_all_values(structure, x, k,
                                                          budget)
@@ -442,11 +450,13 @@ def _merge_patterns(structure, k, x, per_value, idx, acc, budget):
 def is_k_ph(structure, k, limits=None):
     """Does every k-ary partial polymorphism extend to a total one?
 
-    Searches for a bounded stuck pair directly (see
-    _one_point_counterexample). The node and wall budgets are one
-    allowance for the whole call; each pattern step spends one node. A is
-    k-PH iff A^k is hom-homogeneous, so is_hom_homogeneous on the
-    materialized power gives the same status.
+    Searches for a bounded stuck pair directly, at one point per orbit of
+    the coordinate permutations of A^k: the non-decreasing points, in
+    lexicographic order (see _one_point_counterexample). The node and wall
+    budgets are one allowance for the whole call; each pattern step spends
+    one node, and detail["steps"] counts the steps of the visited points
+    only. A is k-PH iff A^k is hom-homogeneous, so is_hom_homogeneous on
+    the materialized power gives the same status.
     """
     limits = limits or default_limits()
     if isinstance(structure, PowerHandle):

@@ -19,6 +19,12 @@ MAX_MATERIALIZED_POWER = 1 << 20
 # Tuples one relation of a materialized power or of a substructure of a
 # power may list or test.
 MAX_MATERIALIZED_TUPLES = 1 << 22
+# Tuples of one or two points below this are one shared object each (see
+# shared_tuple).
+SHARED_TUPLE_POINTS = 16
+_SHARED_TUPLES = {t: t for r in (1, 2)
+                  for t in itertools.product(range(SHARED_TUPLE_POINTS),
+                                             repeat=r)}
 
 
 class StructureError(ValueError):
@@ -47,6 +53,31 @@ def _check_tuple(t, arity, n, symbol, index, violations):
             return
 
 
+def _check_tuples(tuples, arity, n, symbol, violations):
+    """Check every tuple, in sorted order so that the reported indices do
+    not depend on set order. Entries that do not compare with the others
+    (an int beside a str) are ordered by repr instead, so that the check,
+    not the sort, reports them."""
+    try:
+        ordered = sorted(tuples)
+    except TypeError:
+        ordered = sorted(tuples, key=repr)
+    for i, t in enumerate(ordered):
+        _check_tuple(t, arity, n, symbol, i, violations)
+
+
+def shared_tuple(t):
+    """t, or the one shared object equal to it when t holds one or two
+    ints below SHARED_TUPLE_POINTS, so that the many small structures and
+    reports built apart hold their pairs and singletons once."""
+    shared = _SHARED_TUPLES.get(t)
+    # an equal tuple of floats or bools is not shared: t[0] and t[-1] are
+    # all the entries of a tuple found in the table
+    if shared is not None and type(t[0]) is int and type(t[-1]) is int:
+        return shared
+    return t
+
+
 def tuple_set(tuples):
     """The tuples as a frozenset of tuples, returned as is when it is one.
     Copied from a set, a frozenset is sized to its contents; grown a tuple
@@ -56,20 +87,25 @@ def tuple_set(tuples):
     return frozenset(set(map(tuple, tuples)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """One named relation: a duplicate-free set of arity-matching tuples."""
 
     name: str
     arity: int
     tuples: frozenset
+    _sorted: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tuples", tuple_set(self.tuples))
 
-    @cached_property
+    @property
     def sorted_tuples(self):
-        return tuple(sorted(self.tuples))
+        """The tuples in ascending order, sorted on first use."""
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.tuples)))
+        return self._sorted
 
     def __contains__(self, t):
         return tuple(t) in self.tuples
@@ -86,8 +122,8 @@ class RelationSet:
     def __post_init__(self):
         tuples = tuple_set(self.tuples)
         violations = []
-        for i, t in enumerate(sorted(tuples)):
-            _check_tuple(t, self.arity, self.size, "<relation-set>", i, violations)
+        _check_tuples(tuples, self.arity, self.size, "<relation-set>",
+                      violations)
         if violations:
             raise StructureError("invalid relation set", violations)
         object.__setattr__(self, "tuples", tuples)
@@ -107,7 +143,7 @@ class RelationSet:
                 "tuples": [list(t) for t in self.sorted_tuples]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteStructure:
     """A finite carrier 0..n-1 plus named finitary relations.
 
@@ -134,8 +170,8 @@ class FiniteStructure:
             if rel.arity < 1:
                 violations.append((rel.name, -1, "arity must be >= 1"))
                 continue
-            for i, t in enumerate(sorted(rel.tuples)):
-                _check_tuple(t, rel.arity, self.size, rel.name, i, violations)
+            _check_tuples(rel.tuples, rel.arity, self.size, rel.name,
+                          violations)
         if violations:
             raise StructureError(
                 "invalid structure %r: %s" % (self.name or "<anon>",
@@ -332,7 +368,8 @@ def induced_substructure(structure, elements):
 
 def partition_pairs(blocks):
     """The equivalence relation whose classes are the blocks, as pairs."""
-    return frozenset((a, b) for block in blocks for a in block for b in block)
+    return frozenset({shared_tuple((a, b)) for block in blocks
+                      for a in block for b in block})
 
 
 def _validate_partition(n, blocks, which, violations):
@@ -426,9 +463,9 @@ def canonical_structure(family, n, data, name=""):
     if family not in FAMILY_AXIOMS:
         raise StructureError("unknown family %r" % (family,))
     symbol = {"graph": "edge", "poset": "le", "strict_poset": "lt"}[family]
-    pairs = set(map(tuple, data))
+    pairs = {shared_tuple(tuple(e)) for e in data}
     if family == "graph":
-        pairs |= {e[::-1] for e in pairs}
+        pairs |= {shared_tuple(e[::-1]) for e in pairs}
     pairs = frozenset(pairs)
     structure = FiniteStructure(n, (Relation(symbol, 2, pairs),),
                                 name=name or family)
@@ -436,7 +473,7 @@ def canonical_structure(family, n, data, name=""):
     return structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialOpMap:
     """A finite-domain k-ary partial function on the carrier 0..n-1.
 
@@ -469,8 +506,10 @@ class PartialOpMap:
             normalized[args] = value
         object.__setattr__(self, "entries", tuple(sorted(normalized.items())))
 
-    @cached_property
+    @property
     def as_dict(self):
+        """The entries as a new dict. Lookups build one each: the package
+        reads maps through entries, so no map keeps a copy."""
         return dict(self.entries)
 
     @property

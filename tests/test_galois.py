@@ -94,8 +94,9 @@ def test_enumerate_polymorphisms_matches_oracle_on_three_points():
     assert got == set(oracle_polymorphisms(structure, 2))
 
 
-def test_enumerate_polymorphisms_cap_reports_incomplete():
-    tables, complete = enumerate_polymorphisms(chain2(), 2, cap=3)
+def test_enumerate_polymorphisms_cap_reports_incomplete(monkeypatch):
+    monkeypatch.setattr(galois, "MAX_ENUMERATED_POLYMORPHISMS", 3)
+    tables, complete = enumerate_polymorphisms(chain2(), 2)
     assert not complete
     assert 0 < len(tables) <= 3
 

@@ -1,19 +1,22 @@
 import itertools
 import json
+import random
 import time
 
 import pytest
 
 from polyhom.structures import (EnvelopeError, FiniteStructure, Relation,
                                 PartialOpMap, canonical_structure, power)
-from polyhom.search import SearchLimits, default_limits
+from polyhom.search import SearchLimits, _Budget, default_limits
 from polyhom.homogeneity import (FunctionTable, is_partial_polymorphism,
                                  extendable, canonical_partial_nu,
                                  find_nu_polymorphism, is_k_ph,
-                                 is_hom_homogeneous, decide_ph)
+                                 is_hom_homogeneous, decide_ph,
+                                 _blocking_patterns_all_values,
+                                 _merge_patterns)
 from polyhom.galois import gamma_closure, qf_type_closure, tau_extension_map
 from polyhom.crosscheck import _table_from_json
-from polyhom.generate import all_n2_binary, all_graphs
+from polyhom.generate import all_n2_binary, all_graphs, all_posets
 
 from oracles import (table_apply, oracle_polymorphisms,
                      oracle_is_polymorphism, oracle_is_partial_polymorphism,
@@ -288,6 +291,69 @@ def test_hierarchy_monotone_n2():
         for k in (1, 2):
             if status[k + 1] == "holds":
                 assert status[k] == "holds", (A.name, status)
+
+
+def _scan_every_point(A, k):
+    """The one-point search over every point of A^k in lexicographic
+    order: (point, map, blocked_values, steps) for the first point where a
+    stuck partial polymorphism is found, else (None, None, None, steps)."""
+    n = A.size
+    budget = _Budget(default_limits())
+    for x in itertools.product(range(n), repeat=k):
+        by_value = _blocking_patterns_all_values(A, x, k, budget)
+        if any(not pats for pats in by_value):
+            continue
+        per_value = sorted(((v, by_value[v]) for v in range(n)),
+                           key=lambda pv: (len(pv[1]), pv[0]))
+        found = _merge_patterns(A, k, x, per_value, 0, {}, budget)
+        if found is None:
+            continue
+        f = PartialOpMap(k, n, found)
+        blocked = []
+        for v in range(n):
+            ok, viol = is_partial_polymorphism(A, f.with_entry(x, v))
+            assert not ok
+            blocked.append({"value": v, "relation": viol[0],
+                            "rows": [list(r) for r in viol[1]],
+                            "image": list(viol[2])})
+        return x, f, blocked, budget.nodes
+    return None, None, None, budget.nodes
+
+
+def _mixed_arity_structure(rng, index):
+    n = rng.choice((2, 3))
+    rels = [Relation(name, r, {t for t in itertools.product(range(n),
+                                                            repeat=r)
+                               if rng.random() < 0.5})
+            for name, r in (("u", 1), ("b", 2), ("t", 3))]
+    return FiniteStructure(n, rels, name="mixed%d" % index)
+
+
+def test_orbit_search_answers_as_the_scan_of_every_point():
+    # is_k_ph visits one point per coordinate-permutation orbit; it must
+    # stop at the point, with the map, that a scan of all n^k points gives
+    rng = random.Random(12)
+    cases = [(A, k) for A in all_n2_binary() for k in (1, 2, 3)]
+    cases += [(A, k) for A in all_graphs(3) + all_posets(3)
+              for k in (1, 2)]
+    cases += [(_mixed_arity_structure(rng, i), k) for i in range(12)
+              for k in (1, 2)]
+    fails = 0
+    saved = False
+    for A, k in cases:
+        x, f, blocked, steps = _scan_every_point(A, k)
+        res = is_k_ph(A, k)
+        assert res.status == ("holds" if x is None else "fails"), (A.name, k)
+        assert res.detail["steps"] <= steps, (A.name, k)
+        saved = saved or res.detail["steps"] < steps
+        if x is None:
+            continue
+        fails += 1
+        ce = res.counterexample
+        assert (ce["map"], ce["point"], ce["blocked_values"]) == (
+            f, x, blocked), (A.name, k)
+        assert list(ce["point"]) == sorted(ce["point"])
+    assert 0 < fails < len(cases) and saved
 
 
 def test_is_k_ph_rejects_bad_k():

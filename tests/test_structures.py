@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -7,6 +8,8 @@ from polyhom.structures import (FiniteStructure, Relation, RelationSet,
                                 reduce_columns, canonical_structure,
                                 induced_substructure, validate_structure,
                                 StructureError, EnvelopeError)
+from polyhom.classify import ClassReport, classify_graph
+from polyhom.homogeneity import KphResult, is_k_ph
 
 
 def chain2():
@@ -55,6 +58,19 @@ def test_relation_set_validates():
     assert len(s) == 2 and (0, 1) in s
 
 
+def test_mixed_int_and_str_entries_are_rejected_not_sorted():
+    # the entries are checked in an order that does not need them to
+    # compare, so the check reports them rather than the sort raising
+    with pytest.raises(StructureError) as e:
+        FiniteStructure(3, [Relation("edge", 2, {("a", 1), (0, 1)})])
+    [(symbol, _, rule)] = e.value.violations
+    assert symbol == "edge" and "'a' out of range" in rule
+    with pytest.raises(StructureError):
+        RelationSet(2, 3, {("a", 1), (0, 1)})
+    with pytest.raises(StructureError):
+        canonical_structure("graph", 3, [("a", "a"), (0, 0)])
+
+
 # ---------------------------------------------------------------- families
 
 def test_canonical_graph_symmetric_closure():
@@ -87,6 +103,21 @@ def test_canonical_strict_requires_transitivity():
         canonical_structure("strict_poset", 3, [(0, 1), (1, 2)])
     A = canonical_structure("strict_poset", 3, [(0, 1), (1, 2), (0, 2)])
     assert len(A.relation("lt").tuples) == 3
+
+
+def test_small_structures_share_their_pair_objects():
+    g = canonical_structure("graph", 4, [(0, 1)])
+    h = canonical_structure("graph", 4, [(2, 3), (1, 0)])
+    e = canonical_structure("eq_lattice", 4, [[[0, 1], [2], [3]]])
+
+    def stored(A, pair):
+        return next(t for t in A.relations[0].tuples if t == pair)
+
+    assert stored(g, (1, 0)) is stored(h, (1, 0)) is stored(e, (1, 0))
+    assert stored(g, (0, 1)) is stored(h, (0, 1))
+    components = [classify_graph(A).reasons["components"] for A in (g, h)]
+    assert components == [((0, 1), (2,), (3,)), ((0, 1), (2, 3))]
+    assert components[0][0] is components[1][0]
 
 
 def test_canonical_eq_lattice():
@@ -125,6 +156,32 @@ def test_partial_map_accessors_and_with_entry():
     g = f.with_entry((2, 2), 1)
     assert len(g) == 3 and g((2, 2)) == 1
     assert f.restrict([(0, 1)]).entries == (((0, 1), 2),)
+
+
+def test_slotted_classes_keep_no_instance_dict():
+    A = canonical_structure("graph", 3, [(0, 1)])
+    f = PartialOpMap(1, 3, {(0,): 2})
+    objects = [A, A.relations[0], f, classify_graph(A), is_k_ph(A, 1)]
+    assert [type(o) for o in objects] == [FiniteStructure, Relation,
+                                          PartialOpMap, ClassReport,
+                                          KphResult]
+    for o in objects:
+        assert not hasattr(o, "__dict__"), type(o).__name__
+
+
+def test_slotted_classes_survive_a_pickle_round_trip():
+    A = canonical_structure("graph", 3, [(0, 1), (1, 2)], name="p3")
+    assert A.relations[0].sorted_tuples  # the lazily filled slot is set
+    objects = [A, PartialOpMap(2, 3, {(0, 1): 2}), classify_graph(A),
+               is_k_ph(A, 1)]
+    assert objects[2].witness is not None
+    assert objects[3].counterexample is not None
+    for o in objects:
+        back = pickle.loads(pickle.dumps(o))
+        assert back == o and type(back) is type(o)
+    back = pickle.loads(pickle.dumps(A))
+    assert back.name == "p3"
+    assert back.relations[0].sorted_tuples == A.relations[0].sorted_tuples
 
 
 def test_partial_map_json_roundtrip():
