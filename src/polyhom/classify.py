@@ -9,7 +9,8 @@ permute and the lattice is distributive). Each NotPH classification is
 backed, where the family admits a uniform construction, by an explicit
 partial map that provably fails to extend, re-verified through the
 extension engine. These classifiers serve as independent oracles for the
-generic decision procedure.
+generic decision procedure. The meet-complete lattices of partitions are
+listed by galois.closed_sets, as the invariant relations of meet and join.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
                          StructureError, broken_axiom, canonical_structure,
                          check_family, partition_pairs, shared_tuple)
 from .search import default_limits
-from .homogeneity import (canonical_partial_nu, extendable,
+from .homogeneity import (FunctionTable, canonical_partial_nu, extendable,
                           is_partial_polymorphism)
+from .galois import invariant_relations
 
 ESCALATION_MAX_ARITY = 3
 ESCALATION_MAX_DOMAIN = 4
-# enumerate_meet_complete_sublattices: partitions of the carrier, and the
-# closed families listed
-MAX_LATTICE_PARTITIONS = 20
-MAX_CLOSED_FAMILIES = 100_000
 
 
 @dataclass(slots=True)
@@ -486,30 +484,20 @@ def partition_join(p, q, n):
 def enumerate_meet_complete_sublattices(n):
     """All nonempty families of equivalence relations on 0..n-1 closed
     under pairwise meet (common refinement) and join (transitive closure
-    of the union), in canonical subset order. Raises StructureError past
-    MAX_LATTICE_PARTITIONS partitions or MAX_CLOSED_FAMILIES families."""
+    of the union), in canonical subset order: the nonempty unary invariant
+    relations of meet and join as binary operations on partitions_of(n).
+    Raises EnvelopeError past galois.MAX_INV_POINTS partitions (from
+    n = 5 on) or galois.MAX_INV_MEMBERS families."""
     parts = partitions_of(n)
-    if len(parts) > MAX_LATTICE_PARTITIONS:
-        raise StructureError(
-            "partition lattice too large for exhaustive enumeration")
     index = {p: i for i, p in enumerate(parts)}
-    meets = {}
-    joins = {}
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            meets[i, j] = index[partition_meet(p, q)]
-            joins[i, j] = index[partition_join(p, q, n)]
-    out = []
-    for size in range(1, len(parts) + 1):
-        for combo in itertools.combinations(range(len(parts)), size):
-            chosen = set(combo)
-            if all(meets[i, j] in chosen and joins[i, j] in chosen
-                   for i in combo for j in combo):
-                out.append(tuple(parts[i] for i in combo))
-                if len(out) > MAX_CLOSED_FAMILIES:
-                    raise StructureError(
-                        "more than %d closed families" % MAX_CLOSED_FAMILIES)
-    return out
+    meet = [index[partition_meet(p, q)] for p in parts for q in parts]
+    join = [index[partition_join(p, q, n)] for p in parts for q in parts]
+    ops = [FunctionTable(2, len(parts), "table", meet),
+           FunctionTable(2, len(parts), "table", join)]
+    # RelationFamily sorts by size and then by the sorted 1-tuples, which
+    # is the canonical subset order of the partition indices
+    return [tuple(parts[i] for (i,) in sorted(family))
+            for family in invariant_relations(ops, 1).members if family]
 
 
 def _compose_pairs(p_pairs, q_pairs):

@@ -222,7 +222,7 @@ def _cmd_crosscheck(args, rep):
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise StructureError("unknown suite %r; choose from %s"
                              % (args.suite, ", ".join(SUITE_NAMES + ("all",))))
-    report = run_suite(args.suite, jobs=args.jobs,
+    report = run_suite(args.suite,
                        verify_certificates=args.verify_certificates)
     code = EXIT_OK if report["ok"] else EXIT_INCONCLUSIVE
     lines = ["suite %s: %s (%d rows, %d disagreements)"
@@ -334,7 +334,6 @@ def build_parser():
     sp = sub.add_parser("crosscheck", parents=[common],
                         help="batch validation suites")
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--verify-certificates", action="store_true")
     sp.set_defaults(func=_cmd_crosscheck)
 

@@ -3,16 +3,15 @@
 Each suite pits the generic decision procedure against an independent
 authority (direct k-extendability checks, power-structure reduction,
 family classification, the arithmetical-lattice test, or hand-computed
-closure values) over a canonical instance list. Instances fan out across
-a worker pool; report order is canonical regardless of scheduling.
+closure values) over a canonical instance list, in one process and in
+canonical order.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
-
 from .structures import PartialOpMap, canonical_structure, power
+from .classify import (classify_structure, escalating_counterexample,
+                       is_arithmetical, kaarli_cross_check)
 from .homogeneity import (FunctionTable, canonical_partial_nu, decide_ph,
                           extendable, is_k_ph, is_partial_polymorphism)
 from .search import default_limits
@@ -134,8 +133,7 @@ def verify_certificate(structure, verdict_json, limits=None):
 
 # ------------------------------------------------------------------ suites
 
-def _row_n2(index, limits):
-    A = gen.all_n2_binary()[index]
+def _row_n2(A, limits):
     verdict = decide_ph(A, limits)
     kph = {}
     for k in range(1, 5):
@@ -153,8 +151,7 @@ def _row_n2(index, limits):
             "agree": agree, "verdict": verdict.to_json()}
 
 
-def _row_phhh(index, k, limits):
-    A = gen.all_n2_binary()[index]
+def _row_phhh(A, k, limits):
     direct = is_k_ph(A, k, limits).status
     via_power = is_k_ph(power(A, k).materialize(), 1, limits).status
     agree = (direct == via_power and direct in ("holds", "fails"))
@@ -162,14 +159,7 @@ def _row_phhh(index, k, limits):
             "via_power": via_power, "agree": agree}
 
 
-def _row_family(family, index, limits):
-    from .classify import classify_structure
-    if family == "graphs3":
-        A = gen.all_graphs(3)[index]
-    elif family == "posets3":
-        A = gen.all_posets(3)[index]
-    else:
-        A = gen.all_strict_posets(3)[index]
+def _row_family(A, limits):
     verdict = decide_ph(A, limits)
     report = classify_structure(A, limits)
     agree = (verdict.status == report.verdict
@@ -214,8 +204,6 @@ def _galois_checks(limits):
 
 
 def _kaarli_rows(limits):
-    from .classify import (is_arithmetical, escalating_counterexample,
-                           kaarli_cross_check)
     rows = []
     for n in (1, 2, 3):
         table = kaarli_cross_check(n, limits)
@@ -244,78 +232,45 @@ def _kaarli_rows(limits):
     return rows
 
 
-def suite_jobs(suite):
+# the family suites: every instance on three points
+_FAMILY_SUITES = {"graphs3": gen.all_graphs, "posets3": gen.all_posets,
+                  "strict3": gen.all_strict_posets}
+
+
+def _suite_rows(suite, limits):
+    """The suite's rows in canonical order, each paired with the structure
+    whose certificate a row with a verdict carries (else None)."""
     if suite == "n2":
-        return [("n2", i) for i in range(16)]
+        return [(A, _row_n2(A, limits)) for A in gen.all_n2_binary()]
     if suite == "phhh":
-        return [("phhh", (i, k)) for i in range(16) for k in (2, 3)]
-    if suite == "graphs3":
-        return [("graphs3", i) for i in range(8)]
-    if suite == "posets3":
-        return [("posets3", i) for i in range(19)]
-    if suite == "strict3":
-        return [("strict3", i) for i in range(len(gen.all_strict_posets(3)))]
+        return [(A, _row_phhh(A, k, limits))
+                for A in gen.all_n2_binary() for k in (2, 3)]
+    if suite in _FAMILY_SUITES:
+        return [(A, _row_family(A, limits))
+                for A in _FAMILY_SUITES[suite](3)]
     if suite == "galois":
-        return [("galois", None)]
+        return [(None, row) for row in _galois_checks(limits)]
     if suite == "kaarli":
-        return [("kaarli", None)]
+        return [(None, row) for row in _kaarli_rows(limits)]
     raise ValueError("unknown suite %r" % (suite,))
 
 
-def run_job(job):
-    suite, key = job
-    limits = default_limits()
-    if suite == "n2":
-        return [_row_n2(key, limits)]
-    if suite == "phhh":
-        return [_row_phhh(key[0], key[1], limits)]
-    if suite in ("graphs3", "posets3", "strict3"):
-        return [_row_family(suite, key, limits)]
-    if suite == "galois":
-        return _galois_checks(limits)
-    if suite == "kaarli":
-        return _kaarli_rows(limits)
-    raise ValueError("unknown suite %r" % (suite,))
-
-
-def _rebuild_instance(suite, key):
-    if suite == "n2":
-        return gen.all_n2_binary()[key]
-    if suite == "graphs3":
-        return gen.all_graphs(3)[key]
-    if suite == "posets3":
-        return gen.all_posets(3)[key]
-    if suite == "strict3":
-        return gen.all_strict_posets(3)[key]
-    return None
-
-
-def run_suite(suite, jobs=1, verify_certificates=False):
+def run_suite(suite, verify_certificates=False):
     """Run one suite (or 'all') and return the canonical report dict."""
     if suite == "all":
-        reports = [run_suite(s, jobs, verify_certificates)
-                   for s in SUITE_NAMES]
+        reports = [run_suite(s, verify_certificates) for s in SUITE_NAMES]
         return {"suite": "all", "suites": reports,
                 "ok": all(r["ok"] for r in reports),
                 "rows": sum(r["rows"] for r in reports),
                 "disagreements": sum(r["disagreements"] for r in reports)}
-    job_list = suite_jobs(suite)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_job, job_list))
-    else:
-        chunks = [run_job(j) for j in job_list]
-    rows = list(itertools.chain.from_iterable(chunks))
+    limits = default_limits()
+    pairs = _suite_rows(suite, limits)
+    rows = [row for _, row in pairs]
     if verify_certificates:
-        limits = default_limits()
-        for job, chunk in zip(job_list, chunks):
-            A = _rebuild_instance(job[0], job[1])
-            if A is None:
-                continue
-            for row in chunk:
-                if "verdict" in row:
-                    row["certificate_check"] = verify_certificate(
-                        A, row["verdict"], limits)
+        for A, row in pairs:
+            if "verdict" in row:
+                row["certificate_check"] = verify_certificate(
+                    A, row["verdict"], limits)
     bad = [r for r in rows if not r.get("agree", True)]
     if verify_certificates:
         bad += [r for r in rows

@@ -12,7 +12,11 @@ gives the qf-closed sets and their minimal covers, which decide_ph sweeps.
 A relation is pp-definable from the structure exactly when it is
 gamma-closed, and the invariant relations of the polymorphisms of bounded
 arity shrink onto the gamma-closed family as the arity bound grows;
-cross_check_inv_pol verifies that convergence.
+cross_check_inv_pol verifies that convergence. closed_sets is the one
+listing of a closed family: it walks the sets a closure function fixes in
+NextClosure order, whether the closure is gamma, closure under a set of
+operations (invariant_relations), or closure under meet and join of
+partitions (classify.enumerate_meet_complete_sublattices).
 """
 
 from __future__ import annotations
@@ -22,19 +26,18 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
-                         StructureError, cylinder, power, tuple_set)
+                         StructureError, cylinder, power, shared_tuple,
+                         tuple_set)
 from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
                      enumerate_solutions)
 from .homogeneity import FunctionTable, extendable
 
-# exhaustive invariant enumeration: carrier of the relation space
+# closed_sets: points of the walked space, and the closed sets it lists
 MAX_INV_POINTS = 24
 MAX_INV_MEMBERS = 1 << 16
 MAX_QF_POINTS = 1 << 20
 # coordinate selections of one relation among the qf atoms over A^m
 MAX_QF_SELECTIONS = 1_000_000
-# cross_check_inv_pol: points of A^m whose subsets it closes one by one
-MAX_GAMMA_FAMILY_POINTS = 16
 # check_finite_polylocal: nonempty tuple sets over A^m
 MAX_POLYLOCAL_SETS = 1 << 16
 # enumerate_polymorphisms: tables listed before it reports incomplete
@@ -57,6 +60,25 @@ def enumerate_polymorphisms(structure, k, limits=None):
         table = [s[c] for c in range(n ** k)]
         out.append(FunctionTable(k, n, "table", table))
     return out, complete
+
+
+def _point(i, n, m):
+    """The m-tuple over range(n) numbered i in itertools.product order."""
+    digits = []
+    for _ in range(m):
+        i, a = divmod(i, n)
+        digits.append(a)
+    return shared_tuple(tuple(reversed(digits)))
+
+
+def _code(t, n):
+    """The number of the tuple t over range(n), the inverse of _point."""
+    code = 0
+    for a in t:
+        if not 0 <= a < n:
+            raise StructureError("value %r leaves the point space" % (a,))
+        code = code * n + a
+    return code
 
 
 class QfAtoms:
@@ -181,11 +203,7 @@ class QfAtoms:
 
     def point(self, i):
         """The m-tuple numbered i."""
-        digits = []
-        for _ in range(self.m):
-            i, a = divmod(i, self.n)
-            digits.append(a)
-        return tuple(reversed(digits))
+        return _point(i, self.n, self.m)
 
     def decode(self, point_set):
         """The points of a point set, sorted."""
@@ -348,36 +366,67 @@ class RelationFamily:
                             for s in self.members]}
 
 
-def _closure_under_ops(points, index, ops, seed):
-    """Smallest superset of seed closed under every operation, as a
-    frozenset of point indices."""
+def closed_sets(npoints, close):
+    """Every set of point indices in range(npoints) that close fixes, as
+    frozensets in lectic order: Ganter's NextClosure (1984), where point 0
+    is the most significant. close must be a closure operator on frozensets
+    of point indices (extensive, monotone and idempotent); close(frozenset())
+    is the least closed set. Raises EnvelopeError past MAX_INV_POINTS points
+    or MAX_INV_MEMBERS closed sets."""
+    if npoints > MAX_INV_POINTS:
+        raise EnvelopeError(
+            "exhaustive invariant enumeration over %d points (cap %d)"
+            % (npoints, MAX_INV_POINTS))
+    current = close(frozenset())
+    members = [current]
+    while True:
+        if len(members) > MAX_INV_MEMBERS:
+            raise EnvelopeError(
+                "more than %d closed relations" % (MAX_INV_MEMBERS,))
+        for i in range(npoints - 1, -1, -1):
+            if i in current:
+                current = current - {i}
+                continue
+            candidate = close(current | {i})
+            # lectic successor: close added no point more significant than i
+            if not any(j < i for j in candidate - current):
+                break
+        else:
+            return members
+        current = candidate
+        members.append(current)
+
+
+def _closure_under_ops(ops, n, m, seed):
+    """Smallest superset of the point indices seed closed under every
+    operation, applied coordinatewise to the m-tuples over range(n)."""
     current = set(seed)
     added = True
     while added:
         added = False
         for ft in ops:
-            k = ft.arity
-            pool = [points[i] for i in sorted(current)]
-            for combo in itertools.product(pool, repeat=k):
-                # coordinatewise: coordinate i collects the i-th entries
-                img = tuple(ft.apply(tuple(c[i] for c in combo))
-                            for i in range(len(combo[0])))
-                idx = index.get(img)
-                if idx is None:
-                    raise StructureError(
-                        "operation leaves the point space; value %r" % (img,))
+            pool = [_point(i, n, m) for i in sorted(current)]
+            for combo in itertools.product(pool, repeat=ft.arity):
+                # coordinate i of the image applies ft to the i-th entries
+                idx = _code([ft.apply(c) for c in zip(*combo)], n)
                 if idx not in current:
                     current.add(idx)
                     added = True
     return frozenset(current)
 
 
+def _relations(index_sets, n, m):
+    """The point index sets as relations: frozensets of m-tuples."""
+    points = [_point(i, n, m) for i in range(n ** m)]
+    return tuple(frozenset({points[i] for i in s}) for s in index_sets)
+
+
 def invariant_relations(ops, m, size=None):
     """Relations of arity m closed under every operation in ops.
 
-    ops: FunctionTables over one carrier. Enumerates the whole closed-set
-    lattice in next-closure order; the empty relation and the full relation
-    are closed and always appear. Raises EnvelopeError past MAX_INV_POINTS
+    ops: FunctionTables over one carrier. Lists the whole closed-set
+    lattice with closed_sets; the empty relation and the full relation are
+    closed and always appear. Raises EnvelopeError past MAX_INV_POINTS
     points or MAX_INV_MEMBERS relations.
     """
     if not ops and size is None:
@@ -386,39 +435,9 @@ def invariant_relations(ops, m, size=None):
     for ft in ops:
         if ft.size != n:
             raise StructureError("operations disagree on the carrier size")
-    npoints = n ** m
-    if npoints > MAX_INV_POINTS:
-        raise EnvelopeError(
-            "exhaustive invariant enumeration over %d points (cap %d)"
-            % (npoints, MAX_INV_POINTS))
-    points = sorted(itertools.product(range(n), repeat=m))
-    index = {p: i for i, p in enumerate(points)}
-
-    def close(seed_idx):
-        return _closure_under_ops(points, index, ops, seed_idx)
-
-    members = []
-    current = close(frozenset())
-    members.append(current)
-    while True:
-        if len(members) > MAX_INV_MEMBERS:
-            raise EnvelopeError(
-                "more than %d closed relations" % (MAX_INV_MEMBERS,))
-        nxt = None
-        for i in range(npoints - 1, -1, -1):
-            if i in current:
-                current = current - {i}
-            else:
-                candidate = close(current | {i})
-                if not any(j < i for j in candidate - current - {i}):
-                    nxt = candidate
-                    break
-        if nxt is None:
-            break
-        members.append(nxt)
-        current = nxt
-    rels = tuple(frozenset(points[i] for i in s) for s in members)
-    return RelationFamily(m, n, rels)
+    members = closed_sets(
+        n ** m, lambda seed: _closure_under_ops(ops, n, m, seed))
+    return RelationFamily(m, n, _relations(members, n, m))
 
 
 @dataclass
@@ -496,23 +515,25 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     """
     limits = limits or default_limits()
     n = structure.size
-    space = n ** m
-    if space > MAX_GAMMA_FAMILY_POINTS:
-        raise EnvelopeError(
-            "gamma-closed family enumeration over %d points" % space)
-    points = sorted(itertools.product(range(n), repeat=m))
-    gamma_members = [frozenset()]
-    for size in range(1, space + 1):
-        for sigma in itertools.combinations(points, size):
-            closure = gamma_closure(structure, sigma, limits)
-            if set(closure) == set(sigma):
-                gamma_members.append(frozenset(sigma))
-    gamma_family = RelationFamily(m, n, tuple(gamma_members))
 
+    def gamma(seed):
+        if not seed:
+            return seed
+        tau = [_point(i, n, m) for i in sorted(seed)]
+        return frozenset(_code(b, n)
+                         for b in gamma_closure(structure, tau, limits))
+
+    # one object per distinct relation across every family of the report
+    relations = {}
+
+    def family(members):
+        return RelationFamily(m, n, tuple(relations.setdefault(s, s)
+                                          for s in members))
+
+    gamma_family = family(_relations(closed_sets(n ** m, gamma), n, m))
     by_arity = {}
     pol_counts = {}
     ops = []
-    containment_ok = True
     stabilization = None
     for k in range(1, K + 1):
         tables, complete = enumerate_polymorphisms(structure, k)
@@ -521,15 +542,14 @@ def cross_check_inv_pol(structure, m, K, limits=None):
                 "polymorphism enumeration at arity %d was cut off" % k)
         pol_counts[k] = len(tables)
         ops.extend(tables)
-        fam = invariant_relations(ops, m, size=n)
+        fam = family(invariant_relations(ops, m, size=n).members)
         by_arity[k] = fam
         members = set(fam.members)
         if not set(gamma_family.members) <= members:
-            containment_ok = False
             raise RuntimeError(
                 "internal error: a gamma-closed relation is not invariant "
                 "under Pol^<=%d" % k)
         if stabilization is None and members == set(gamma_family.members):
             stabilization = k
-    return CrossCheckResult(gamma_family, by_arity, containment_ok,
-                            stabilization, pol_counts)
+    return CrossCheckResult(gamma_family, by_arity, True, stabilization,
+                            pol_counts)

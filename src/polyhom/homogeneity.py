@@ -90,8 +90,9 @@ class FunctionTable:
 def is_partial_polymorphism(structure, f):
     """Whether f preserves every relation on its domain rows: returns (ok,
     violation) where violation names the relation, the selected domain
-    rows, and the offending image tuple; for a binary relation, the first
-    violating pair of rows in row-major order."""
+    rows, and the offending image tuple: for a binary relation, the first
+    violating pair of rows in row-major order; for any other arity r, the
+    first violating selection of r rows in itertools.product order."""
     if f.size != structure.size:
         raise StructureError("map carrier size %d differs from structure %d"
                              % (f.size, structure.size))
@@ -105,12 +106,7 @@ def is_partial_polymorphism(structure, f):
         r = rel.arity
         if not rel.tuples:
             continue
-        if r == 1:
-            member = {t[0] for t in rel.tuples}
-            for row, val in zip(dom, vals):
-                if val not in member and all(x in member for x in row):
-                    return False, (rel.name, (row,), (val,))
-        elif r == 2:
+        if r == 2:
             # row bitsets: rows_to(column)[x] holds the rows whose entry in
             # column is a successor of x, so the rows related to row u are
             # the AND over coordinates j of rows_to(column j)[u_j]

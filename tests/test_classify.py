@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polyhom import (FiniteStructure, Relation, StructureError,
+from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      canonical_structure, classify_eq_lattice, classify_graph,
                      classify_poset, classify_strict_poset, classify_structure,
                      decide_ph, enumerate_meet_complete_sublattices,
@@ -351,6 +351,25 @@ def test_partition_meet_join_known_values():
     assert partition_join(p, q, 4) == ((0, 1, 2, 3),)
 
 
+def _sublattices_by_subset_loop(n):
+    # every nonempty subset of the partitions, by size and then
+    # lexicographically, kept when it is closed under meet and join
+    parts = partitions_of(n)
+    index = {p: i for i, p in enumerate(parts)}
+    meets = {(i, j): index[partition_meet(p, q)]
+             for i, p in enumerate(parts) for j, q in enumerate(parts)}
+    joins = {(i, j): index[partition_join(p, q, n)]
+             for i, p in enumerate(parts) for j, q in enumerate(parts)}
+    out = []
+    for size in range(1, len(parts) + 1):
+        for combo in itertools.combinations(range(len(parts)), size):
+            chosen = set(combo)
+            if all(meets[i, j] in chosen and joins[i, j] in chosen
+                   for i in combo for j in combo):
+                out.append(tuple(parts[i] for i in combo))
+    return out
+
+
 def test_meet_complete_sublattice_counts():
     assert len(enumerate_meet_complete_sublattices(1)) == 1
     assert len(enumerate_meet_complete_sublattices(2)) == 3
@@ -361,6 +380,13 @@ def test_meet_complete_sublattice_counts():
         for p, q in itertools.product(fam, repeat=2):
             assert partition_meet(p, q) in fam_set
             assert partition_join(p, q, 3) in fam_set
+    for n in (1, 2, 3, 4):
+        assert (enumerate_meet_complete_sublattices(n)
+                == _sublattices_by_subset_loop(n))
+    assert len(enumerate_meet_complete_sublattices(4)) == 469
+    # Bell(5) = 52 partitions, past galois.MAX_INV_POINTS
+    with pytest.raises(EnvelopeError):
+        enumerate_meet_complete_sublattices(5)
 
 
 def test_is_arithmetical_known_families():

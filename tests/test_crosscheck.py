@@ -2,7 +2,6 @@
 
 import copy
 import itertools
-import json
 
 import pytest
 
@@ -33,13 +32,6 @@ def test_single_suite_report_shape():
     assert report["disagreements"] == 0
     assert report["rows"] > 0
     assert len(report["instances"]) == report["rows"]
-
-
-def test_worker_pool_matches_inline_run():
-    inline = run_suite("n2", jobs=1)
-    pooled = run_suite("n2", jobs=4)
-    assert json.dumps(inline, sort_keys=True) == json.dumps(pooled,
-                                                            sort_keys=True)
 
 
 def test_aggregate_suite_rolls_up_members():

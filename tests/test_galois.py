@@ -376,8 +376,24 @@ def test_cross_check_inv_pol_on_edgeless_graph():
                                                 frozenset({(0,), (1,)})}
 
 
+def test_gamma_family_is_every_gamma_closed_set_of_the_oracle():
+    for A in all_n2_binary():
+        for m in (1, 2):
+            points = sorted(itertools.product(range(2), repeat=m))
+            # A^m is gamma-closed outright; the oracle would list all
+            # 2^16 four-ary tables to confirm it at m = 2
+            want = {frozenset(), frozenset(points)} | {
+                frozenset(sigma)
+                for sigma in nonempty_subsets(points, len(points) - 1)
+                if oracle_gamma(A, sigma) == set(sigma)}
+            family = cross_check_inv_pol(A, m, 1).gamma_family
+            assert len(family) == len(want), (A.name, m)
+            assert set(family.members) == want, (A.name, m)
+
+
 def test_cross_check_inv_pol_envelope():
-    with pytest.raises(EnvelopeError):
+    # 2^5 = 32 points, past galois.MAX_INV_POINTS
+    with pytest.raises(EnvelopeError, match="32 points"):
         cross_check_inv_pol(chain2(), 5, 1)
 
 

@@ -78,19 +78,31 @@ def test_is_partial_polymorphism_matches_oracle_n2():
 
 
 def test_is_partial_polymorphism_matches_oracle_ternary():
-    A = tern3()
+    # with and without a unary relation next to the ternary one
+    unary = Relation("u", 1, {(0,), (1,)})
+    with_unary = FiniteStructure(3, [unary, *tern3().relations],
+                                 name="tern3u")
     maps = [
         {(0,): 0, (1,): 2},
         {(0,): 0, (1,): 1, (2,): 2},
         {(0,): 1, (1,): 2, (2,): 0},
+        {(0,): 1, (1,): 0, (2,): 2},
         {(0, 1): 0, (1, 2): 1},
         {(0, 1): 1, (1, 2): 2, (2, 0): 0},
+        {(0, 1): 2, (2, 2): 0},
+        {(0, 0): 1, (1, 0): 0, (2, 1): 2},
     ]
-    for entries in maps:
-        k = len(next(iter(entries)))
-        f = PartialOpMap(k, 3, tuple(entries.items()))
-        ok, _ = is_partial_polymorphism(A, f)
-        assert ok == oracle_is_partial_polymorphism(A, entries, k)
+    for A in (tern3(), with_unary):
+        for entries in maps:
+            k = len(next(iter(entries)))
+            f = PartialOpMap(k, 3, tuple(entries.items()))
+            ok, violation = is_partial_polymorphism(A, f)
+            assert ok == oracle_is_partial_polymorphism(A, entries, k)
+            if violation is not None and violation[0] == "u":
+                # the first domain row in u whose image leaves u
+                row = next(r for r in sorted(entries)
+                           if set(r) <= {0, 1} and entries[r] == 2)
+                assert violation[1:] == ((row,), (2,))
 
 
 # ------------------------------------------------------------ extendable
