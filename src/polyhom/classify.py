@@ -24,7 +24,7 @@ from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
 from .search import default_limits
 from .homogeneity import (FunctionTable, canonical_partial_nu, extendable,
                           is_partial_polymorphism)
-from .galois import invariant_relations
+from .galois import _walk_points, invariant_relations
 
 ESCALATION_MAX_ARITY = 3
 ESCALATION_MAX_DOMAIN = 4
@@ -486,9 +486,10 @@ def enumerate_meet_complete_sublattices(n):
     under pairwise meet (common refinement) and join (transitive closure
     of the union), in canonical subset order: the nonempty unary invariant
     relations of meet and join as binary operations on partitions_of(n).
-    Raises EnvelopeError past galois.MAX_INV_POINTS partitions (from
-    n = 5 on) or galois.MAX_INV_MEMBERS families."""
+    Raises EnvelopeError past galois.MAX_INV_POINTS partitions (n >= 5)
+    before building those, or past galois.MAX_INV_MEMBERS families."""
     parts = partitions_of(n)
+    _walk_points(len(parts))
     index = {p: i for i, p in enumerate(parts)}
     meet = [index[partition_meet(p, q)] for p in parts for q in parts]
     join = [index[partition_join(p, q, n)] for p in parts for q in parts]

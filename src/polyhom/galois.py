@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import lru_cache, partial, reduce
+from operator import itemgetter, or_
 
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          StructureError, cylinder, power, shared_tuple,
                          tuple_set)
 from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
                      enumerate_solutions)
-from .homogeneity import FunctionTable, extendable
+from .homogeneity import FunctionTable, _deadline, _within, extendable
 
 # closed_sets: points of the walked space, and the closed sets it lists
 MAX_INV_POINTS = 24
@@ -55,11 +56,8 @@ def enumerate_polymorphisms(structure, k, limits=None):
     sols, complete = enumerate_solutions(
         ExtensionProblem(source, structure), cap=MAX_ENUMERATED_POLYMORPHISMS,
         limits=limits or SearchLimits(node_budget=10_000_000))
-    out = []
-    for s in sols:
-        table = [s[c] for c in range(n ** k)]
-        out.append(FunctionTable(k, n, "table", table))
-    return out, complete
+    return [FunctionTable(k, n, "table", [s[c] for c in range(n ** k)])
+            for s in sols], complete
 
 
 def _point(i, n, m):
@@ -270,14 +268,19 @@ def tau_extension_map(tau, b, size):
     return PartialOpMap(len(tau), size, tuple(zip(rows, b)))
 
 
-def _settled_candidates(structure, tau, limits):
-    """Each qf-type-permitted image b of tau, in sorted order, with whether
-    the map tau -> b extends to a polymorphism. Raises EnvelopeError when a
-    candidate cannot be settled within the budget."""
-    tau = sorted(set(map(tuple, tau)))
-    for b in qf_type_closure(structure, tau):
-        f = tau_extension_map(tau, b, structure.size)
-        res = extendable(structure, f, limits)
+@lru_cache(maxsize=1 << 12)
+def _shared(value):
+    """value, or the equal one passed before: one object per equal result."""
+    return value
+
+
+def _settled_candidates(structure, tau, candidates, limits, deadline):
+    """Each candidate image b of tau, in order, with whether the map tau ->
+    b extends to a polymorphism, solved within what is left before deadline.
+    Raises EnvelopeError when a candidate cannot be settled in the budget."""
+    for b in candidates:
+        res = extendable(structure, tau_extension_map(tau, b, structure.size),
+                         _within(limits, deadline))
         if res.exhausted:
             raise EnvelopeError(
                 "image closure candidate %r exhausted the search budget"
@@ -286,20 +289,23 @@ def _settled_candidates(structure, tau, limits):
 
 
 def gamma_closure(structure, tau, limits=None):
-    """Images of tau under arity-|tau| polymorphisms, certified per
-    candidate. Raises EnvelopeError when a candidate cannot be settled
-    within the budget, rather than returning an uncertified set."""
+    """Images of tau under arity-|tau| polymorphisms, a sorted tuple
+    certified per candidate within one wall deadline. Raises EnvelopeError
+    when a candidate cannot be settled within the budget, rather than
+    returning an uncertified set."""
     limits = limits or default_limits()
-    return [b for b, extends in _settled_candidates(structure, tau, limits)
-            if extends]
+    tau = sorted(set(map(tuple, tau)))
+    return _shared(tuple(b for b, extends in _settled_candidates(
+        structure, tau, qf_type_closure(structure, tau), limits,
+        _deadline(limits)) if extends))
 
 
-@dataclass
+@dataclass(slots=True)
 class PpResult:
     definable: bool
     witness: tuple = None  # first closure tuple outside sigma
-    closure: list = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
+    closure: tuple = ()
+    detail: dict = None
 
     def to_json(self):
         out = {"definable": self.definable,
@@ -324,16 +330,14 @@ def is_pp_definable(structure, sigma, limits=None):
     else:
         tuples = set(map(tuple, sigma))
     if not tuples:
-        return PpResult(True, None, [],
+        return PpResult(True, None, (),
                         {"note": "empty relation handled by convention"})
     closure = gamma_closure(structure, tuples, limits)
-    extra = [b for b in closure if b not in tuples]
-    if extra:
-        return PpResult(False, extra[0], closure)
-    return PpResult(True, None, closure)
+    extra = next((b for b in closure if b not in tuples), None)
+    return PpResult(extra is None, extra, closure)
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationFamily:
     """A finite family of m-ary relations over a common carrier."""
 
@@ -366,17 +370,23 @@ class RelationFamily:
                             for s in self.members]}
 
 
-def closed_sets(npoints, close):
-    """Every set of point indices in range(npoints) that close fixes, as
-    frozensets in lectic order: Ganter's NextClosure (1984), where point 0
-    is the most significant. close must be a closure operator on frozensets
-    of point indices (extensive, monotone and idempotent); close(frozenset())
-    is the least closed set. Raises EnvelopeError past MAX_INV_POINTS points
-    or MAX_INV_MEMBERS closed sets."""
+def _walk_points(npoints):
+    """npoints, or EnvelopeError past MAX_INV_POINTS."""
     if npoints > MAX_INV_POINTS:
         raise EnvelopeError(
             "exhaustive invariant enumeration over %d points (cap %d)"
             % (npoints, MAX_INV_POINTS))
+    return npoints
+
+
+def closed_sets(npoints, close):
+    """Every set of point indices in range(npoints) that close fixes, as
+    frozensets in lectic order: Ganter's NextClosure (1984), where point 0
+    is the most significant. close must be a closure operator on frozensets
+    of point indices (extensive, monotone and idempotent); it gets
+    frozenset(), then closed sets plus one point, which are not closed.
+    Raises EnvelopeError past MAX_INV_POINTS points or MAX_INV_MEMBERS."""
+    _walk_points(npoints)
     current = close(frozenset())
     members = [current]
     while True:
@@ -397,28 +407,35 @@ def closed_sets(npoints, close):
         members.append(current)
 
 
-def _closure_under_ops(ops, n, m, seed):
-    """Smallest superset of the point indices seed closed under every
-    operation, applied coordinatewise to the m-tuples over range(n)."""
-    current = set(seed)
-    added = True
-    while added:
-        added = False
-        for ft in ops:
-            pool = [_point(i, n, m) for i in sorted(current)]
-            for combo in itertools.product(pool, repeat=ft.arity):
-                # coordinate i of the image applies ft to the i-th entries
-                idx = _code([ft.apply(c) for c in zip(*combo)], n)
-                if idx not in current:
-                    current.add(idx)
-                    added = True
-    return frozenset(current)
+def _point_tables(ops, n, m):
+    """Each operation as (arity, a dict from point index tuples of A^m to
+    the coordinatewise image's index), once MAX_INV_POINTS is checked."""
+    points = [_point(i, n, m) for i in range(_walk_points(n ** m))]
+    return [(ft.arity, {args: _code([ft.apply(c) for c in zip(
+        *map(points.__getitem__, args))], n) for args in itertools.product(
+            range(len(points)), repeat=ft.arity)}) for ft in ops]
 
 
-def _relations(index_sets, n, m):
-    """The point index sets as relations: frozensets of m-tuples."""
-    points = [_point(i, n, m) for i in range(n ** m)]
-    return tuple(frozenset({points[i] for i in s}) for s in index_sets)
+def _closure_under_ops(tables, seed):
+    """Smallest superset of the point indices seed closed under the
+    _point_tables. Semi-naive (Bancilhon and Ramakrishnan 1986): a pass
+    applies them only to argument lists holding a point the last pass
+    added, the first to all of seed, which need not be closed."""
+    old, new = [], list(seed)
+    while new:
+        current = old + new
+        images = {table[args] for k, table in tables for j in range(k)
+                  for args in itertools.product(*[old] * j, new,
+                                                *[current] * (k - 1 - j))}
+        old, new = current, list(images.difference(current))
+    return frozenset(old)
+
+
+def _closed_family(n, m, close):
+    """The m-ary relations over range(n) whose point sets close fixes."""
+    return RelationFamily(m, n, tuple(
+        _shared(frozenset({_point(i, n, m) for i in s}))
+        for s in closed_sets(n ** m, close)))
 
 
 def invariant_relations(ops, m, size=None):
@@ -435,12 +452,11 @@ def invariant_relations(ops, m, size=None):
     for ft in ops:
         if ft.size != n:
             raise StructureError("operations disagree on the carrier size")
-    members = closed_sets(
-        n ** m, lambda seed: _closure_under_ops(ops, n, m, seed))
-    return RelationFamily(m, n, _relations(members, n, m))
+    return _closed_family(n, m, partial(_closure_under_ops,
+                                        _point_tables(ops, n, m)))
 
 
-@dataclass
+@dataclass(slots=True)
 class PolylocalResult:
     holds: bool
     separation: tuple = None  # (tau, b) with b in qf closure minus gamma
@@ -458,9 +474,12 @@ class PolylocalResult:
 def check_finite_polylocal(structure, m, limits=None):
     """Does every qf-type-permitted image of every nonempty tuple set over
     A^m arise from a polymorphism? Fails with the first separating pair in
-    sweep order (tuple-set size ascending, then lexicographic). Raises
-    EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
+    sweep order (tuple-set size ascending, then lexicographic), so the
+    images in qf(tau minus t), within gamma(tau minus t) and gamma(tau), are
+    skipped as in homogeneity._sweep_level. One wall deadline per call.
+    Raises EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
     limits = limits or default_limits()
+    deadline = _deadline(limits)
     n = structure.size
     space = n ** m
     # 2^space - 1 tuple sets, compared without building 2^space
@@ -468,18 +487,24 @@ def check_finite_polylocal(structure, m, limits=None):
         raise EnvelopeError(
             "polylocality sweep over 2^%d - 1 tuple sets (cap %d)"
             % (space, MAX_POLYLOCAL_SETS))
-    all_tuples = sorted(itertools.product(range(n), repeat=m))
-    checked = 0
-    for size in range(1, space + 1):
-        for tau in itertools.combinations(all_tuples, size):
-            checked += 1
-            for b, extends in _settled_candidates(structure, tau, limits):
-                if not extends:
-                    return PolylocalResult(False, (list(tau), b), checked)
-    return PolylocalResult(True, None, checked)
+    atoms = QfAtoms(structure, m)
+    qf = {}  # point set -> its qf closure, for the sets already settled
+    for checked, combo in enumerate(itertools.chain.from_iterable(
+            itertools.combinations(range(space), size)
+            for size in range(1, space + 1)), 1):
+        mask = sum(1 << i for i in combo)
+        known = reduce(or_, [qf.get(mask ^ 1 << i, 0) for i in combo], mask)
+        qf[mask] = atoms.qf(mask)
+        tau = [atoms.point(i) for i in combo]
+        for b, extends in _settled_candidates(
+                structure, tau, atoms.decode(qf[mask] & ~known), limits,
+                deadline):
+            if not extends:
+                return PolylocalResult(False, (tau, b), checked)
+    return PolylocalResult(True, None, (1 << space) - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class CrossCheckResult:
     gamma_family: RelationFamily
     by_arity: dict  # k -> RelationFamily of Pol^{<=k}-invariant relations
@@ -508,48 +533,46 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     """Compare the gamma-closed m-ary relations with the invariants of the
     polymorphisms of arity up to k, for k = 1..K.
 
-    The gamma-closed family is always contained in every invariant family;
-    they coincide once k reaches the stabilization arity. Containment
-    failures raise, since they would mean one of the two computations is
-    wrong.
+    Pol^<=K is enumerated first, so a cut-off enumeration raises before
+    gamma is walked; the walk counts the closure of S under Pol^<=K as in
+    gamma(S). The gamma-closed family is contained in every invariant
+    family; they coincide once k reaches the stabilization arity.
+    Containment failures raise, since they would mean one of the two
+    computations is wrong. One wall deadline per call.
     """
     limits = limits or default_limits()
+    deadline = _deadline(limits)
     n = structure.size
-
-    def gamma(seed):
-        if not seed:
-            return seed
-        tau = [_point(i, n, m) for i in sorted(seed)]
-        return frozenset(_code(b, n)
-                         for b in gamma_closure(structure, tau, limits))
-
-    # one object per distinct relation across every family of the report
-    relations = {}
-
-    def family(members):
-        return RelationFamily(m, n, tuple(relations.setdefault(s, s)
-                                          for s in members))
-
-    gamma_family = family(_relations(closed_sets(n ** m, gamma), n, m))
-    by_arity = {}
-    pol_counts = {}
-    ops = []
-    stabilization = None
+    tables, by_arity, pol_counts = [], {}, {}
     for k in range(1, K + 1):
-        tables, complete = enumerate_polymorphisms(structure, k)
+        found, complete = enumerate_polymorphisms(structure, k,
+                                                  _within(limits, deadline))
         if not complete:
             raise EnvelopeError(
                 "polymorphism enumeration at arity %d was cut off" % k)
-        pol_counts[k] = len(tables)
-        ops.extend(tables)
-        fam = family(invariant_relations(ops, m, size=n).members)
-        by_arity[k] = fam
-        members = set(fam.members)
-        if not set(gamma_family.members) <= members:
+        pol_counts[k] = len(found)
+        tables = tables + _point_tables(found, n, m)
+        by_arity[k] = _closed_family(n, m, partial(_closure_under_ops,
+                                                   tables))
+    atoms = QfAtoms(structure, m)
+
+    def gamma(seed):
+        closed = _closure_under_ops(tables, seed)
+        todo = atoms.qf(sum(1 << i for i in seed)) if seed else 0
+        todo &= ~sum(1 << i for i in closed)
+        tau = [atoms.point(i) for i in sorted(seed)]
+        return closed.union(_code(b, n) for b, extends in _settled_candidates(
+            structure, tau, atoms.decode(todo), limits, deadline) if extends)
+
+    gamma_family = _closed_family(n, m, gamma)
+    stabilization = None
+    for k, fam in by_arity.items():
+        if not set(gamma_family.members) <= set(fam.members):
             raise RuntimeError(
                 "internal error: a gamma-closed relation is not invariant "
                 "under Pol^<=%d" % k)
-        if stabilization is None and members == set(gamma_family.members):
-            stabilization = k
+        if fam == gamma_family:
+            by_arity[k] = gamma_family  # one object for equal families
+            stabilization = stabilization or k
     return CrossCheckResult(gamma_family, by_arity, True, stabilization,
                             pol_counts)

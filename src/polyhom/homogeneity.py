@@ -504,6 +504,12 @@ def _record_block(blocked, entry):
     blocked.append(entry)
 
 
+def _deadline(limits):
+    """The one deadline of a top-level call, None without a wall budget."""
+    return (time.monotonic() + limits.wall_budget if limits.wall_budget
+            else None)
+
+
 def _within(limits, deadline):
     """limits with the wall budget cut to what is left before deadline."""
     if deadline is None:
@@ -592,8 +598,7 @@ def decide_ph(structure, limits=None):
     nothing failed outright the result is Inconclusive.
     """
     limits = limits or default_limits()
-    deadline = (time.monotonic() + limits.wall_budget
-                if limits.wall_budget else None)
+    deadline = _deadline(limits)
     n = structure.size
     trace = []
     blocked = []

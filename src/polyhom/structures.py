@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 # Powers are never materialized above this many elements; consumers must
 # go through the lazy handle beyond it.
@@ -366,8 +366,9 @@ def induced_substructure(structure, elements):
     return sub, tuple(subset)
 
 
+@lru_cache(maxsize=1 << 10)
 def partition_pairs(blocks):
-    """The equivalence relation whose classes are the blocks, as pairs."""
+    """The equivalence with the blocks (tuples) as classes, as pairs."""
     return frozenset({shared_tuple((a, b)) for block in blocks
                       for a in block for b in block})
 
@@ -452,7 +453,7 @@ def canonical_structure(family, n, data, name=""):
             _validate_partition(n, blocks, "th%d" % i, violations)
             if violations:
                 raise StructureError("invalid equivalence family", violations)
-            pairs = partition_pairs(blocks)
+            pairs = partition_pairs(tuple(map(tuple, blocks)))
             if pairs in seen:
                 violations.append(("th%d" % i, -1, "duplicate partition %r" % (blocks,)))
             seen.add(pairs)

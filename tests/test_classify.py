@@ -15,6 +15,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      partition_pairs, partitions_of, poset_is_lattice,
                      poset_pair_witness, realizer, recognize_family,
                      strict_poset_witness)
+from polyhom import classify
 from polyhom.generate import (all_graphs, all_posets, all_strict_posets)
 
 from oracles import oracle_families, oracle_is_partial_polymorphism
@@ -387,6 +388,17 @@ def test_meet_complete_sublattice_counts():
     # Bell(5) = 52 partitions, past galois.MAX_INV_POINTS
     with pytest.raises(EnvelopeError):
         enumerate_meet_complete_sublattices(5)
+
+
+def test_sublattice_cap_is_checked_before_the_tables(monkeypatch):
+    # Bell(6) = 203 partitions: the cap must raise before the 203^2 meet
+    # and join tables are built
+    def refuse(p, q):
+        raise AssertionError("partition_meet called past the cap")
+
+    monkeypatch.setattr(classify, "partition_meet", refuse)
+    with pytest.raises(EnvelopeError, match="203 points"):
+        enumerate_meet_complete_sublattices(6)
 
 
 def test_is_arithmetical_known_families():

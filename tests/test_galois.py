@@ -1,14 +1,16 @@
 """The polymorphism / invariant-relation connection against brute oracles."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
-                     check_finite_polylocal, cross_check_inv_pol,
-                     enumerate_polymorphisms, gamma_closure, invariant_relations, is_pp_definable,
+from polyhom import (EnvelopeError, FiniteStructure, Relation, SearchLimits,
+                     StructureError, check_finite_polylocal,
+                     cross_check_inv_pol, enumerate_polymorphisms, extendable,
+                     gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
-from polyhom import galois
+from polyhom import galois, homogeneity
 from polyhom.galois import QfAtoms, RelationFamily
 from polyhom.generate import all_graphs, all_n2_binary, all_posets
 
@@ -277,6 +279,21 @@ def test_invariant_relations_matches_subset_oracle():
                 structure, op_pairs(tables), m)
 
 
+def test_invariant_relations_match_oracle_on_every_two_point_structure():
+    # closed_sets seeds the closure with sets that are not closed, which a
+    # semi-naive closure must take as new in its first pass
+    for structure in all_n2_binary():
+        unary, complete = enumerate_polymorphisms(structure, 1)
+        assert complete
+        binary, complete = enumerate_polymorphisms(structure, 2)
+        assert complete
+        for tables in (unary, unary + binary):
+            for m in (1, 2):
+                family = invariant_relations(tables, m, size=2)
+                assert set(family.members) == oracle_invariant_relations(
+                    structure, op_pairs(tables), m), (structure.name, m)
+
+
 def test_invariant_relations_unary_oracle_on_three_points():
     structure = path3()
     tables, complete = enumerate_polymorphisms(structure, 1)
@@ -395,6 +412,79 @@ def test_cross_check_inv_pol_envelope():
     # 2^5 = 32 points, past galois.MAX_INV_POINTS
     with pytest.raises(EnvelopeError, match="32 points"):
         cross_check_inv_pol(chain2(), 5, 1)
+
+
+def _polylocality_by_full_walk(structure, m):
+    # every qf candidate of every tuple set, in sweep order, settled
+    # through extendable: the walk the skips must agree with
+    points = sorted(itertools.product(range(structure.size), repeat=m))
+    checked = 0
+    settled = 0
+    for tau in nonempty_subsets(points):
+        checked += 1
+        for b in qf_type_closure(structure, tau):
+            settled += 1
+            res = extendable(structure,
+                             tau_extension_map(tau, b, structure.size))
+            assert not res.exhausted
+            if res.not_extendable:
+                return (False, (list(tau), b), checked), settled
+    return (True, None, checked), settled
+
+
+def test_polylocality_matches_the_full_walk():
+    cases = [(A, m) for A in all_n2_binary() for m in (1, 2)]
+    cases += [(bowtie(), 1), (bowtie(), 2)]
+    # an order and a point: the first separation at m = 2 is a pair
+    cases += [(FiniteStructure(3, [Relation("le", 2, {(0, 0), (0, 1), (1, 1),
+                                                      (2, 2)})]), 2)]
+    cases += [(A, 1) for A in list(all_graphs(3)) + list(all_posets(3))]
+    for A, m in cases:
+        res = check_finite_polylocal(A, m)
+        want, _ = _polylocality_by_full_walk(A, m)
+        assert (res.holds, res.separation, res.checked) == want, (A.name, m)
+
+
+def test_polylocality_skips_images_known_to_be_in_gamma(monkeypatch):
+    calls = []
+    real = galois.extendable
+
+    def counted(structure, f, limits):
+        calls.append(f)
+        return real(structure, f, limits)
+
+    monkeypatch.setattr(galois, "extendable", counted)
+    assert check_finite_polylocal(chain2(), 2).holds
+    _, settled = _polylocality_by_full_walk(chain2(), 2)
+    assert len(calls) < settled
+
+
+def test_galois_entry_points_spend_one_deadline(monkeypatch):
+    # a clock that moves one second per extendable call: each CSP gets
+    # what is left of the call's one 100 s allowance
+    now = [0.0]
+    monkeypatch.setattr(homogeneity, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    budgets = []
+    real = galois.extendable
+
+    def ticking(structure, f, limits):
+        budgets.append(limits.wall_budget)
+        now[0] += 1
+        return real(structure, f, limits)
+
+    monkeypatch.setattr(galois, "extendable", ticking)
+    limits = SearchLimits(wall_budget=100)
+    # the one arc: Pol^<=2 leaves 12 gamma candidates to extendable
+    arc = FiniteStructure(2, [Relation("r", 2, {(0, 1)})], name="arc2")
+    for call in (lambda: gamma_closure(chain2(), [(0, 1), (1, 0)], limits),
+                 lambda: is_pp_definable(chain2(), [(0, 1), (1, 0)], limits),
+                 lambda: check_finite_polylocal(chain2(), 2, limits),
+                 lambda: cross_check_inv_pol(arc, 2, 2, limits)):
+        budgets.clear()
+        call()
+        assert len(budgets) >= 2
+        assert budgets == [100 - j for j in range(len(budgets))]
 
 
 def test_polylocality_holds_on_the_two_point_chain():
