@@ -30,7 +30,7 @@ from .galois import (enumerate_polymorphisms, qf_type_closure, gamma_closure,
 from .classify import (ClassReport, recognize_family, classify_graph,
                        graph_property_star, graph_star_witness,
                        classify_poset, poset_is_lattice, poset_pair_witness,
-                       realizer, classify_strict_poset, strict_poset_witness,
+                       classify_strict_poset, strict_poset_witness,
                        partitions_of, partition_pairs, pairs_to_partition,
                        partition_meet, partition_join,
                        enumerate_meet_complete_sublattices, is_arithmetical,

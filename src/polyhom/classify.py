@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
                          StructureError, broken_axiom, canonical_structure,
@@ -101,11 +102,22 @@ def _refuted(structure, f, what, limits):
 
 # ---------------------------------------------------------------- graphs
 
+@lru_cache(maxsize=1)
 def _graph_neighbors(structure):
+    """Each vertex's neighbours, once the structure is a graph. The last
+    graph read is kept, so classify_graph and the graph_star_witness it
+    calls check its axioms once."""
     nbrs = [set() for _ in range(structure.size)]
     for a, b in _family_pairs(structure, "graph"):
         nbrs[a].add(b)
-    return nbrs
+    return tuple(map(frozenset, nbrs))
+
+
+def _branch_vertex(nbrs):
+    """The first vertex with two neighbours, or None when every path
+    a - b - c collapses (a = c): each component is a single vertex or a
+    single edge."""
+    return next((v for v, s in enumerate(nbrs) if len(s) >= 2), None)
 
 
 def _components(nbrs):
@@ -132,8 +144,7 @@ def graph_property_star(structure):
     """Does every path a - b - c collapse (a = c)? Equivalent to every
     vertex having at most one neighbor, i.e. components are single
     vertices or single edges."""
-    nbrs = _graph_neighbors(structure)
-    return all(len(s) <= 1 for s in nbrs)
+    return _branch_vertex(_graph_neighbors(structure)) is None
 
 
 def graph_star_witness(structure, limits=None):
@@ -152,7 +163,7 @@ def graph_star_witness(structure, limits=None):
     limits = limits or default_limits()
     nbrs = _graph_neighbors(structure)
     n = structure.size
-    b = next((v for v in range(n) if len(nbrs[v]) >= 2), None)
+    b = _branch_vertex(nbrs)
     if b is None:
         return None
     a, c = sorted(nbrs[b])[:2]
@@ -207,11 +218,10 @@ def classify_graph(structure, limits=None, with_witness=True):
     edgeless = all(not s for s in nbrs)
     k2_union = bool(nbrs) and all(
         len(c) == 2 and c[1] in nbrs[c[0]] for c in comps)
-    star = all(len(s) <= 1 for s in nbrs)
     reasons = {
         "is_edgeless": edgeless,
         "is_k2_union": k2_union,
-        "property_star": star,
+        "property_star": _branch_vertex(nbrs) is None,
         "components": comps,
     }
     if edgeless or k2_union:
@@ -320,67 +330,6 @@ def classify_poset(structure, limits=None, with_witness=True):
         if got is not None:
             arity, witness = got
     return ClassReport("poset", "NotPH", reasons, witness, arity)
-
-
-def realizer(structure):
-    """Linear extensions of the poset whose intersection is exactly its
-    order: two per incomparable pair (one per orientation), deduplicated,
-    then greedily thinned. A chain realizes itself."""
-    le = _family_pairs(structure, "poset")
-    n = structure.size
-    incomp = [(x, y) for x in range(n) for y in range(x + 1, n)
-              if (x, y) not in le and (y, x) not in le]
-
-    def topo(extra):
-        edges = {(a, b) for a, b in le if a != b} | set(extra)
-        indeg = [0] * n
-        for a, b in edges:
-            indeg[b] += 1
-        out = []
-        avail = sorted(v for v in range(n) if indeg[v] == 0)
-        while avail:
-            v = avail.pop(0)
-            out.append(v)
-            for a, b in sorted(edges):
-                if a == v:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        avail.append(b)
-            avail.sort()
-        if len(out) != n:
-            raise StructureError("cycle while extending the order")
-        return tuple(out)
-
-    if not incomp:
-        return [topo(())]
-    exts = []
-    for x, y in incomp:
-        for forced in (((x, y),), ((y, x),)):
-            t = topo(forced)
-            if t not in exts:
-                exts.append(t)
-
-    def order_of(ext):
-        pos = {v: i for i, v in enumerate(ext)}
-        return {(a, b) for a in range(n) for b in range(n)
-                if pos[a] <= pos[b]}
-
-    def meets(subset):
-        acc = None
-        for t in subset:
-            o = order_of(t)
-            acc = o if acc is None else acc & o
-        return acc == le
-
-    if not meets(exts):
-        raise RuntimeError("internal error: extensions fail to realize "
-                           "the order")
-    kept = list(exts)
-    for t in list(exts):
-        trial = [u for u in kept if u != t]
-        if trial and meets(trial):
-            kept = trial
-    return kept
 
 
 # ---------------------------------------------------------- strict posets

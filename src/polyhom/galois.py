@@ -31,7 +31,7 @@ from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          tuple_set)
 from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
                      enumerate_solutions)
-from .homogeneity import FunctionTable, _deadline, _within, extendable
+from .homogeneity import FunctionTable, _Allowance, extendable
 
 # closed_sets: points of the walked space, and the closed sets it lists
 MAX_INV_POINTS = 24
@@ -274,14 +274,17 @@ def _shared(value):
     return value
 
 
-def _settled_candidates(structure, tau, candidates, limits, deadline):
+def _settled_candidates(structure, tau, candidates, allowance):
     """Each candidate image b of tau, in order, with whether the map tau ->
-    b extends to a polymorphism, solved within what is left before deadline.
-    Raises EnvelopeError when a candidate cannot be settled in the budget."""
+    b extends to a polymorphism, solved within what is left of the
+    allowance. Raises EnvelopeError when a candidate cannot be settled in
+    the budget."""
     for b in candidates:
-        res = extendable(structure, tau_extension_map(tau, b, structure.size),
-                         _within(limits, deadline))
-        if res.exhausted:
+        limits = allowance.left()
+        if limits is not None:
+            res = allowance.spend(extendable(
+                structure, tau_extension_map(tau, b, structure.size), limits))
+        if limits is None or res.exhausted:
             raise EnvelopeError(
                 "image closure candidate %r exhausted the search budget"
                 % (b,))
@@ -290,14 +293,13 @@ def _settled_candidates(structure, tau, candidates, limits, deadline):
 
 def gamma_closure(structure, tau, limits=None):
     """Images of tau under arity-|tau| polymorphisms, a sorted tuple
-    certified per candidate within one wall deadline. Raises EnvelopeError
-    when a candidate cannot be settled within the budget, rather than
-    returning an uncertified set."""
-    limits = limits or default_limits()
+    certified per candidate within one node and wall allowance. Raises
+    EnvelopeError when a candidate cannot be settled within the budget,
+    rather than returning an uncertified set."""
     tau = sorted(set(map(tuple, tau)))
     return _shared(tuple(b for b, extends in _settled_candidates(
-        structure, tau, qf_type_closure(structure, tau), limits,
-        _deadline(limits)) if extends))
+        structure, tau, qf_type_closure(structure, tau),
+        _Allowance(limits or default_limits())) if extends))
 
 
 @dataclass(slots=True)
@@ -360,9 +362,6 @@ class RelationFamily:
         return (isinstance(other, RelationFamily)
                 and self.arity == other.arity and self.size == other.size
                 and set(self.members) == set(other.members))
-
-    def member_lists(self):
-        return [sorted(s) for s in self.members]
 
     def to_json(self):
         return {"arity": self.arity, "size": self.size,
@@ -476,10 +475,9 @@ def check_finite_polylocal(structure, m, limits=None):
     A^m arise from a polymorphism? Fails with the first separating pair in
     sweep order (tuple-set size ascending, then lexicographic), so the
     images in qf(tau minus t), within gamma(tau minus t) and gamma(tau), are
-    skipped as in homogeneity._sweep_level. One wall deadline per call.
-    Raises EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
-    limits = limits or default_limits()
-    deadline = _deadline(limits)
+    skipped as in homogeneity._sweep_level. One node and wall allowance
+    per call. Raises EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
+    allowance = _Allowance(limits or default_limits())
     n = structure.size
     space = n ** m
     # 2^space - 1 tuple sets, compared without building 2^space
@@ -497,8 +495,7 @@ def check_finite_polylocal(structure, m, limits=None):
         qf[mask] = atoms.qf(mask)
         tau = [atoms.point(i) for i in combo]
         for b, extends in _settled_candidates(
-                structure, tau, atoms.decode(qf[mask] & ~known), limits,
-                deadline):
+                structure, tau, atoms.decode(qf[mask] & ~known), allowance):
             if not extends:
                 return PolylocalResult(False, (tau, b), checked)
     return PolylocalResult(True, None, (1 << space) - 1)
@@ -538,15 +535,16 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     gamma(S). The gamma-closed family is contained in every invariant
     family; they coincide once k reaches the stabilization arity.
     Containment failures raise, since they would mean one of the two
-    computations is wrong. One wall deadline per call.
+    computations is wrong. One node and wall allowance per call; the
+    enumerations get what is left of the wall time and the whole node
+    budget, since they report no node count.
     """
-    limits = limits or default_limits()
-    deadline = _deadline(limits)
+    allowance = _Allowance(limits or default_limits())
     n = structure.size
     tables, by_arity, pol_counts = [], {}, {}
     for k in range(1, K + 1):
         found, complete = enumerate_polymorphisms(structure, k,
-                                                  _within(limits, deadline))
+                                                  allowance.left())
         if not complete:
             raise EnvelopeError(
                 "polymorphism enumeration at arity %d was cut off" % k)
@@ -562,7 +560,7 @@ def cross_check_inv_pol(structure, m, K, limits=None):
         todo &= ~sum(1 << i for i in closed)
         tau = [atoms.point(i) for i in sorted(seed)]
         return closed.union(_code(b, n) for b, extends in _settled_candidates(
-            structure, tau, atoms.decode(todo), limits, deadline) if extends)
+            structure, tau, atoms.decode(todo), allowance) if extends)
 
     gamma_family = _closed_family(n, m, gamma)
     stabilization = None

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
                          StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import (ExtensionProblem, _Budget, _bits, _lowest,
-                     default_limits, solve)
+from .search import (ExtensionProblem, SearchLimits, _Budget, _bits,
+                     _lowest, default_limits, solve)
 
 # row-selection cap for the partial polymorphism check
 PP_COMBO_CAP = 2_000_000
@@ -504,20 +504,37 @@ def _record_block(blocked, entry):
     blocked.append(entry)
 
 
-def _deadline(limits):
-    """The one deadline of a top-level call, None without a wall budget."""
-    return (time.monotonic() + limits.wall_budget if limits.wall_budget
-            else None)
+class _Allowance:
+    """The one node and wall allowance of a top-level call. Each solve
+    gets what is left of both, and spend takes the nodes it reports off."""
+
+    __slots__ = ("nodes", "deadline")
+
+    def __init__(self, limits):
+        self.nodes = limits.node_budget
+        self.deadline = (time.monotonic() + limits.wall_budget
+                         if limits.wall_budget else None)
+
+    def passed(self):
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def left(self):
+        """The limits of the next solve, or None once the nodes are spent.
+        Past the deadline a solve still gets 1e-9 s, and settles what
+        propagation alone settles."""
+        if self.nodes < 1:
+            return None
+        return SearchLimits(self.nodes, None if self.deadline is None else
+                            max(self.deadline - time.monotonic(), 1e-9))
+
+    def spend(self, res):
+        """res, an ExtendResult, once its solve's nodes are taken off."""
+        self.nodes -= res.detail.get("nodes", 0)
+        return res
 
 
-def _within(limits, deadline):
-    """limits with the wall budget cut to what is left before deadline."""
-    if deadline is None:
-        return limits
-    return replace(limits, wall_budget=max(deadline - time.monotonic(), 1e-9))
-
-
-def _sweep_level(structure, m, limits, deadline, blocked, stats):
+def _sweep_level(structure, m, allowance, blocked, stats):
     """Check every qf-closed set Q over A^m against its minimal covers.
 
     qf(tau) depends only on the atoms all of tau satisfies, and gamma is
@@ -529,8 +546,9 @@ def _sweep_level(structure, m, limits, deadline, blocked, stats):
     smaller set is settled: every cover of it was checked, none blocked.
     Returns ("complete", None), ("blocked", None) when some candidate or
     the level itself was out of reach, ("wall_budget", None) once the
-    deadline has passed, or ("not_extendable", (tau, b, f, result)) for
-    the first refuted image. Blocked candidates are recorded in blocked.
+    deadline has passed, ("node_budget", None) once the nodes are spent,
+    or ("not_extendable", (tau, b, f, result)) for the first refuted
+    image. Blocked candidates are recorded in blocked.
     """
     from .galois import QfAtoms, tau_extension_map
 
@@ -547,7 +565,7 @@ def _sweep_level(structure, m, limits, deadline, blocked, stats):
         verified = None
         complete = True
         for cover in atoms.covers(q, atom_mask):
-            if deadline is not None and time.monotonic() > deadline:
+            if allowance.passed():
                 _record_block(blocked, {"step": "sweep", "m": m,
                                         "reason": "wall_budget"})
                 return "wall_budget", None
@@ -561,11 +579,16 @@ def _sweep_level(structure, m, limits, deadline, blocked, stats):
             tau = atoms.decode(cover)
             ok = True
             for i in _bits(todo):
+                limits = allowance.left()
+                if limits is None:
+                    _record_block(blocked, {"step": "sweep", "m": m,
+                                            "reason": "node_budget"})
+                    return "node_budget", None
                 b = atoms.point(i)
                 f = tau_extension_map(tau, b, structure.size)
                 stats["extendable_calls"] += 1
                 try:
-                    res = extendable(structure, f, _within(limits, deadline))
+                    res = allowance.spend(extendable(structure, f, limits))
                 except EnvelopeError as e:
                     why = {"reason": "envelope", "detail": str(e)}
                 else:
@@ -593,12 +616,12 @@ def decide_ph(structure, limits=None):
     whose absence is already a certified negative; then, for m = 1..d,
     sweep the qf-closed sets over A^m through their minimal covers and
     require every quantifier-free-type-closed image to be extendable (see
-    _sweep_level). The wall budget is one deadline for the whole call. A
-    budget or envelope block never produces a verdict by itself: if
-    nothing failed outright the result is Inconclusive.
+    _sweep_level). The node and wall budgets are one allowance for the
+    whole call: each CSP gets what is left of both. A budget or envelope
+    block never produces a verdict by itself: if nothing failed outright
+    the result is Inconclusive.
     """
-    limits = limits or default_limits()
-    deadline = _deadline(limits)
+    allowance = _Allowance(limits or default_limits())
     n = structure.size
     trace = []
     blocked = []
@@ -610,8 +633,8 @@ def decide_ph(structure, limits=None):
     nu_arity = d + 1
     nu_partial = canonical_partial_nu(structure, nu_arity)
     try:
-        nu = find_nu_polymorphism(structure, nu_arity,
-                                  _within(limits, deadline))
+        nu = allowance.spend(find_nu_polymorphism(structure, nu_arity,
+                                                  allowance.left()))
     except EnvelopeError as e:
         nu = None
         _record_block(blocked, {"step": "nu", "arity": nu_arity,
@@ -637,8 +660,8 @@ def decide_ph(structure, limits=None):
                 "uncertified answer")
     sweep_stats = {"qf_sets": 0, "covers": 0, "extendable_calls": 0}
     for m in range(1, d + 1):
-        outcome, refutation = _sweep_level(structure, m, limits, deadline,
-                                           blocked, sweep_stats)
+        outcome, refutation = _sweep_level(structure, m, allowance, blocked,
+                                           sweep_stats)
         if outcome == "not_extendable":
             tau, b, f, res = refutation
             ok, _ = is_partial_polymorphism(structure, f)
@@ -664,7 +687,7 @@ def decide_ph(structure, limits=None):
                            blocked=blocked, guidance=note)
         trace.append({"step": "sweep", "m": m, "outcome": outcome,
                       **sweep_stats})
-        if outcome == "wall_budget":
+        if outcome in ("wall_budget", "node_budget"):
             break
 
     if not blocked:

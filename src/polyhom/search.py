@@ -129,16 +129,6 @@ class Outcome:
     def exhausted(self):
         return self.status == "exhausted"
 
-    def to_json(self, include_timing=True):
-        out = {"status": self.status, "nodes": self.nodes, "nvars": self.nvars}
-        if include_timing:
-            out["wall"] = round(self.wall, 6)
-        if self.reason:
-            out["reason"] = self.reason
-        if self.assignment is not None:
-            out["assignment"] = {str(k): v for k, v in sorted(self.assignment.items())}
-        return out
-
 
 def _bits(mask):
     while mask:

@@ -10,14 +10,13 @@ so lexicographic order of index vectors equals numeric order of codes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 # Powers are never materialized above this many elements; consumers must
 # go through the lazy handle beyond it.
 MAX_MATERIALIZED_POWER = 1 << 20
-# Tuples one relation of a materialized power or of a substructure of a
-# power may list or test.
+# Tuples one relation of a materialized power may list.
 MAX_MATERIALIZED_TUPLES = 1 << 22
 # Tuples of one or two points below this are one shared object each (see
 # shared_tuple).
@@ -196,27 +195,6 @@ class FiniteStructure:
                 return rel
         raise KeyError(name)
 
-    def with_name(self, name):
-        return replace(self, name=name)
-
-    def elements(self):
-        return range(self.size)
-
-
-def validate_structure(raw):
-    """Canonicalize a parsed structure description into a FiniteStructure.
-
-    Accepts a FiniteStructure (revalidated) or a mapping with keys
-    'name', 'size'/'n', 'relations' (list of (name, arity, tuples)).
-    Raises StructureError carrying (symbol, tuple index, rule) violations.
-    """
-    if isinstance(raw, FiniteStructure):
-        return FiniteStructure(raw.size, raw.relations, name=raw.name)
-    size = raw.get("size", raw.get("n"))
-    rels = tuple(Relation(name, arity, frozenset(map(tuple, tuples)))
-                 for name, arity, tuples in raw["relations"])
-    return FiniteStructure(size, rels, name=raw.get("name", ""))
-
 
 @dataclass(frozen=True)
 class PowerHandle:
@@ -268,21 +246,6 @@ class PowerHandle:
             code //= n
         return tuple(out)
 
-    def elements(self):
-        return range(self.size)
-
-    def iter_vectors(self):
-        return itertools.product(range(self.base.size), repeat=self.exponent)
-
-    def contains(self, rel_name, codes):
-        """Membership of a tuple of power elements in the named relation."""
-        rel = self.base.relation(rel_name)
-        vectors = [self.decode(c) for c in codes]
-        for j in range(self.exponent):
-            if tuple(v[j] for v in vectors) not in rel.tuples:
-                return False
-        return True
-
     def materialize(self):
         """Explicit product structure; guarded against blow-up."""
         if self.size > MAX_MATERIALIZED_POWER:
@@ -323,47 +286,6 @@ def cylinder(n, k, j, a):
     w = n ** (k - 1 - j)
     run = "0" * ((n - 1 - a) * w) + "1" * w + "0" * (a * w)
     return int(run * n ** j, 2)
-
-
-def induced_substructure(structure, elements):
-    """Substructure on a nonempty element subset, re-indexed 0..|S|-1.
-
-    Returns (substructure, embedding) where embedding[i] is the original
-    element of new index i (ascending order).
-    """
-    subset = sorted(set(elements))
-    if not subset:
-        raise StructureError("empty substructure carrier")
-    if isinstance(structure, PowerHandle):
-        for e in subset:
-            if not 0 <= e < structure.size:
-                raise StructureError("element %r outside carrier" % (e,))
-        index = {e: i for i, e in enumerate(subset)}
-        rels = []
-        for rel_name, arity in structure.signature:
-            if len(subset) ** arity > MAX_MATERIALIZED_TUPLES:
-                raise EnvelopeError("substructure restriction too large")
-            tuples = frozenset(
-                tuple(index[c] for c in combo)
-                for combo in itertools.product(subset, repeat=arity)
-                if structure.contains(rel_name, combo))
-            rels.append(Relation(rel_name, arity, tuples))
-        sub = FiniteStructure(len(subset), tuple(rels),
-                              name=structure.name + "|S")
-        return sub, tuple(subset)
-    for e in subset:
-        if not 0 <= e < structure.size:
-            raise StructureError("element %r outside carrier" % (e,))
-    index = {e: i for i, e in enumerate(subset)}
-    rels = []
-    for rel in structure.relations:
-        tuples = frozenset(tuple(index[c] for c in t)
-                           for t in rel.tuples
-                           if all(c in index for c in t))
-        rels.append(Relation(rel.name, rel.arity, tuples))
-    sub = FiniteStructure(len(subset), tuple(rels),
-                          name=(structure.name + "|S") if structure.name else "")
-    return sub, tuple(subset)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -531,11 +453,6 @@ class PartialOpMap:
 
     def with_entry(self, args, value):
         return PartialOpMap(self.arity, self.size, self.entries + ((tuple(args), value),))
-
-    def restrict(self, keys):
-        keys = set(map(tuple, keys))
-        return PartialOpMap(self.arity, self.size,
-                            tuple((k, v) for k, v in self.entries if k in keys))
 
     def to_json(self):
         return {"arity": self.arity, "size": self.size,

@@ -13,7 +13,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
                      is_partial_polymorphism, kaarli_cross_check,
                      pairs_to_partition, partition_join, partition_meet,
                      partition_pairs, partitions_of, poset_is_lattice,
-                     poset_pair_witness, realizer, recognize_family,
+                     poset_pair_witness, recognize_family,
                      strict_poset_witness)
 from polyhom import classify
 from polyhom.generate import (all_graphs, all_posets, all_strict_posets)
@@ -225,32 +225,6 @@ def test_classify_poset_is_relabeling_invariant():
         for perm in itertools.permutations(range(3)):
             assert classify_poset(relabel(p, perm),
                                   with_witness=False).verdict == base
-
-
-def test_realizer_intersection_is_exactly_the_order():
-    for p in all_posets(3) + [bowtie(), diamond()]:
-        le = set(p.relations[0].tuples)
-        n = p.size
-        exts = realizer(p)
-        for ext in exts:
-            assert sorted(ext) == list(range(n))
-            pos = {v: i for i, v in enumerate(ext)}
-            for a, b in le:
-                assert pos[a] <= pos[b]
-        inter = None
-        for ext in exts:
-            pos = {v: i for i, v in enumerate(ext)}
-            order = {(a, b) for a in range(n) for b in range(n)
-                     if pos[a] <= pos[b]}
-            inter = order if inter is None else inter & order
-        assert inter == le, p.name
-
-
-def test_realizer_of_a_chain_is_itself():
-    chain = canonical_structure(
-        "poset", 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)],
-        name="chain3")
-    assert realizer(chain) == [(0, 1, 2)]
 
 
 def test_classify_poset_rejects_malformed_input():

@@ -347,7 +347,6 @@ def test_relation_family_behavior():
     assert fam == same
     assert [(0, 1)] in fam
     assert [(1, 0)] not in fam
-    assert fam.member_lists() == [[], [(0, 1)]]
     assert fam.to_json()["members"] == [[], [[0, 1]]]
 
 
@@ -485,6 +484,39 @@ def test_galois_entry_points_spend_one_deadline(monkeypatch):
         call()
         assert len(budgets) >= 2
         assert budgets == [100 - j for j in range(len(budgets))]
+
+
+def test_galois_entry_points_spend_one_node_allowance(monkeypatch):
+    # each CSP gets the nodes the earlier CSPs of the call left over
+    seen = []
+    real = galois.extendable
+
+    def counted(structure, f, limits):
+        res = real(structure, f, limits)
+        seen.append((limits.node_budget, res.detail.get("nodes", 0)))
+        return res
+
+    monkeypatch.setattr(galois, "extendable", counted)
+    limits = SearchLimits(node_budget=10_000)
+    arc = FiniteStructure(2, [Relation("r", 2, {(0, 1)})], name="arc2")
+    for call in (lambda: gamma_closure(bowtie(), [(0, 1), (1, 0)], limits),
+                 lambda: is_pp_definable(bowtie(), [(0, 1), (1, 0)], limits),
+                 lambda: check_finite_polylocal(bowtie(), 1, limits),
+                 lambda: cross_check_inv_pol(arc, 2, 2, limits)):
+        seen.clear()
+        call()
+        assert len(seen) >= 2
+        spent = itertools.accumulate((nodes for _, nodes in seen), initial=0)
+        assert [budget for budget, _ in seen] == [
+            10_000 - s for s, _ in zip(spent, seen)]
+    # 16 solves of at most 12 nodes each, 60 in all
+    monkeypatch.setattr(galois, "extendable", real)
+    assert gamma_closure(bowtie(), [(0, 1), (1, 0)],
+                         SearchLimits(node_budget=60)) == gamma_closure(
+                             bowtie(), [(0, 1), (1, 0)])
+    with pytest.raises(EnvelopeError):
+        gamma_closure(bowtie(), [(0, 1), (1, 0)],
+                      SearchLimits(node_budget=30))
 
 
 def test_polylocality_holds_on_the_two_point_chain():

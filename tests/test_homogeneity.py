@@ -510,6 +510,17 @@ def test_decide_ph_inconclusive_when_sweep_is_capped():
     assert "POLYHOM_NODE_BUDGET" in v.guidance
 
 
+def test_decide_ph_spends_one_node_allowance():
+    # the diamond's sweep solves 78 CSPs of at most 12 nodes each, 320 in
+    # all: each one fits in 100 nodes, all of them together do not
+    v = decide_ph(diamond(), SearchLimits(node_budget=100))
+    assert v.status == "Inconclusive"
+    assert v.certificate is None
+    assert any(b["step"] == "sweep" and b["reason"] == "node_budget"
+               for b in v.blocked)
+    assert decide_ph(diamond()).status == "PH"
+
+
 def test_decide_ph_envelope_guidance_on_large_poset():
     # N5 is PH (see the known verdicts), but with a one-node budget no
     # certificate can be built; the guidance names the budgets and points
