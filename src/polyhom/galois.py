@@ -29,8 +29,7 @@ from operator import itemgetter, or_
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          StructureError, cylinder, power, shared_tuple,
                          tuple_set)
-from .search import (ExtensionProblem, SearchLimits, _bits, default_limits,
-                     enumerate_solutions)
+from .search import ExtensionProblem, _bits, _run, default_limits
 from .homogeneity import FunctionTable, _Allowance, extendable
 
 # closed_sets: points of the walked space, and the closed sets it lists
@@ -51,13 +50,16 @@ def enumerate_polymorphisms(structure, k, limits=None):
     False when the listing stopped at MAX_ENUMERATED_POLYMORPHISMS tables
     or at a budget. Raises EnvelopeError past search.MAX_CSP_VARS table
     entries."""
-    n = structure.size
-    source = power(structure, k) if k > 1 else structure
-    sols, complete = enumerate_solutions(
-        ExtensionProblem(source, structure), cap=MAX_ENUMERATED_POLYMORPHISMS,
-        limits=limits or SearchLimits(node_budget=10_000_000))
-    return [FunctionTable(k, n, "table", [s[c] for c in range(n ** k)])
-            for s in sols], complete
+    return _polymorphisms(structure, k, limits)[:2]
+
+
+def _polymorphisms(structure, k, limits):
+    """enumerate_polymorphisms, with the nodes the enumeration spent."""
+    status, sols, budget = _run(
+        ExtensionProblem(power(structure, k), structure), limits,
+        MAX_ENUMERATED_POLYMORPHISMS)
+    return [FunctionTable(k, structure.size, "table", list(s.values()))
+            for s in sols], status == "unsat", budget.nodes
 
 
 def _point(i, n, m):
@@ -535,16 +537,19 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     gamma(S). The gamma-closed family is contained in every invariant
     family; they coincide once k reaches the stabilization arity.
     Containment failures raise, since they would mean one of the two
-    computations is wrong. One node and wall allowance per call; the
-    enumerations get what is left of the wall time and the whole node
-    budget, since they report no node count.
+    computations is wrong. One node and wall allowance per call, which the
+    enumerations draw on first.
     """
     allowance = _Allowance(limits or default_limits())
     n = structure.size
     tables, by_arity, pol_counts = [], {}, {}
     for k in range(1, K + 1):
-        found, complete = enumerate_polymorphisms(structure, k,
-                                                  allowance.left())
+        left = allowance.left()
+        if left is None:
+            raise EnvelopeError("the node budget was spent before the "
+                                "arity-%d polymorphism enumeration" % k)
+        found, complete, nodes = _polymorphisms(structure, k, left)
+        allowance.nodes -= nodes
         if not complete:
             raise EnvelopeError(
                 "polymorphism enumeration at arity %d was cut off" % k)

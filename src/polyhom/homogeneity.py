@@ -188,10 +188,10 @@ def extendable(structure, f, limits=None):
     answer maps that agree with a projection; otherwise solve the extension
     CSP from the l-th power to the structure, where l is the number of
     distinct domain columns, pinned to f's entries. The CSP's witness is a
-    'table' on the kept columns. Raises EnvelopeError when that CSP is out
-    of reach: more than search.MAX_CSP_VARS variables, or more than
-    search.MAX_MATERIALIZE_VARS when a relation has arity 3 or more. A
-    returned witness is always re-verified against f before it is reported.
+    'table' on the kept columns; relations of every arity constrain it on
+    the implicit power. Raises EnvelopeError when that CSP has more than
+    search.MAX_CSP_VARS variables. A returned witness is always re-verified
+    against f before it is reported.
     """
     limits = limits or default_limits()
     ok, violation = is_partial_polymorphism(structure, f)
@@ -560,15 +560,22 @@ def _sweep_level(structure, m, allowance, blocked, stats):
         return "blocked", None
     qf_sets = atoms.qf_sets()
     settled = set()
+
+    def stop(reason):
+        # a candidate blocked for the same reason already marks the stop
+        if not any((b["step"], b.get("m"), b["reason"]) == ("sweep", m, reason)
+                   for b in blocked):
+            _record_block(blocked, {"step": "sweep", "m": m,
+                                    "reason": reason})
+        return reason, None
+
     for q, atom_mask in qf_sets:
         stats["qf_sets"] += 1
         verified = None
         complete = True
         for cover in atoms.covers(q, atom_mask):
             if allowance.passed():
-                _record_block(blocked, {"step": "sweep", "m": m,
-                                        "reason": "wall_budget"})
-                return "wall_budget", None
+                return stop("wall_budget")
             stats["covers"] += 1
             todo = (q if verified is None else verified) & ~cover
             if cover & (cover - 1):
@@ -581,9 +588,7 @@ def _sweep_level(structure, m, allowance, blocked, stats):
             for i in _bits(todo):
                 limits = allowance.left()
                 if limits is None:
-                    _record_block(blocked, {"step": "sweep", "m": m,
-                                            "reason": "node_budget"})
-                    return "node_budget", None
+                    return stop("node_budget")
                 b = atoms.point(i)
                 f = tau_extension_map(tau, b, structure.size)
                 stats["extendable_calls"] += 1

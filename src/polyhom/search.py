@@ -1,27 +1,35 @@
 """Homomorphism-extension search over explicit structures and lazy powers.
 
 An ExtensionProblem asks for a homomorphism source -> target agreeing with
-a set of pinned values. Power sources are handled digitwise: (u, v) is
-related iff every digit pair is related in the base, so the neighbours of
-u are an AND of one precomputed bitset per digit.
+a set of pinned values. Every source is handled as a power A^k, an
+explicit structure being A^1: a tuple of codes is related iff every digit
+column is related in the base, so the neighbours of u under a binary
+relation are an AND of one precomputed bitset per digit.
 
 Domains are bit-sliced: plane b is a Python int whose bit v says variable
 v may still take value b, so a revision removes a value from a whole
 neighbour set with a few big-int ANDs (Lecoutre and Vion, CP Letters
 2008). The trail stores diffs (b, lowest bit, removed bits shifted down).
 Search is depth-first, smallest domain first, values ascending; binary
-constraints are kept arc consistent, and relations of arity >= 3 are
-checked on their tuples each time a variable becomes a singleton. The
-queues are bitsets; the fixpoint does not depend on their order.
+constraints are kept arc consistent. Relations of arity r >= 3 are
+forward checked, without listing R^k: once every member of a tuple but
+one variable x is a singleton, x keeps the values the target allows. The
+singletons of one position are pushed at once, digit by digit, through
+the slice of R that the other fixed digits leave, giving every such x
+(per-digit supports, cf. Compact-Table, Demeulenaere et al., CP 2016).
+The queues are bitsets; the fixpoint does not depend on their order.
 
 Found maps are re-verified by code that shares no tables with the search:
-on a power, each value's preimage is pushed through the base relation one
-digit at a time and must not reach a value the target relation forbids.
-A verification mismatch is a hard error, never a silent answer.
+each value's preimage is pushed through the base relation one digit at a
+time and must not reach a value the target relation forbids; for arity
+r >= 3 the first r - 2 positions are fixed one code at a time and the
+binary slice they leave is pushed the same way. A verification mismatch
+is a hard error, never a silent answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -30,10 +38,8 @@ from functools import lru_cache
 from .structures import (EnvelopeError, FiniteStructure, PowerHandle,
                          StructureError, cylinder)
 
-# Envelope caps: variable count of one extension CSP, and the largest power
-# source materialized because it carries a relation of arity >= 3.
+# Envelope cap: variable count of one extension CSP.
 MAX_CSP_VARS = 1 << 20
-MAX_MATERIALIZE_VARS = 4096
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -212,20 +218,16 @@ class _BinaryConstraint:
         return out
 
 
-class _HighArityConstraint:
-    """One relation of arity >= 3 on an explicit source."""
-
-    __slots__ = ("name", "tuples", "members", "target", "incident")
-
-    def __init__(self, name, src_tuples, target_tuples):
-        self.name = name
-        self.tuples = [tuple(t) for t in sorted(src_tuples)]
-        self.members = [sorted(set(t)) for t in self.tuples]
-        self.target = frozenset(target_tuples)
-        self.incident = {}
-        for i, t in enumerate(self.tuples):
-            for v in set(t):
-                self.incident.setdefault(v, []).append(i)
+@lru_cache(maxsize=1 << 12)
+def _slice(tuples, fixed, s, free):
+    """Of the tuples with value v at each (position, v) of fixed: value y
+    at s -> the values c they hold at every free position."""
+    out = {}
+    for t in tuples:
+        c = t[free[0]]
+        if all(t[q] == c for q in free) and all(t[p] == v for p, v in fixed):
+            out.setdefault(t[s], []).append(c)
+    return out
 
 
 class _Context:
@@ -303,13 +305,10 @@ class _Context:
                     if allowed != self.full_mask:
                         prune(_within(cyl, everything, elements), allowed)
             else:
-                if exponent != 1:
-                    raise EnvelopeError(
-                        "arity-%d relation on a non-materialized power source"
-                        % rel.arity)
-                self.high.append(_HighArityConstraint(
-                    rel.name, rel.tuples, trel.tuples))
+                self.high.append((rel.name, rel.arity, rel.tuples,
+                                  trel.tuples))
 
+        self.cyl = cyl if self.high else None
         self.initial_planes = tuple(planes)
         empty = everything & ~_union(planes)
         if self.static_unsat is None and empty:
@@ -333,27 +332,51 @@ class _Context:
             nb &= rows[j][digits[j]]
         return nb
 
+    def leaves(self, rel, trel, rest, free, pools, fixed=()):
+        """Walk the tuples of R^k. Each position of rest but the last is
+        fixed in turn to a code of its pool (pools[i][b]: the codes of
+        value b); the last one's codes of each value are pushed, digit by
+        digit, through the slice of R the fixed codes leave. Yields
+        (fixed, allowed, x): the codes x reached at the free positions and
+        the target values allowed there, when that is not every value.
+        fixed holds (position, code, digits, value) entries."""
+        k, n = self.exponent, self.base.size
+
+        def succs(fixed, s, free):
+            return [_slice(rel, tuple((p, d[j]) for p, _, d, _ in fixed), s,
+                           free) for j in range(k)]
+
+        s = rest[0]
+        if len(rest) > 1:
+            # only the codes that some tuple through fixed holds at s
+            near = (_push(1 << fixed[-1][1], succs(fixed[:-1], fixed[-1][0],
+                                                   (s,)), self.cyl, n, k)
+                    if fixed else self.all_vars)
+            for b, pool in enumerate(pools[0]):
+                for w in _bits(pool & near):
+                    yield from self.leaves(
+                        rel, trel, rest[1:], free, pools[1:],
+                        fixed + ((s, w, self.decode(w), b),))
+            return
+        through = succs(fixed, s, free)
+        target = _slice(trel, tuple((p, b) for p, _, _, b in fixed), s, free)
+        for b, pool in enumerate(pools[0]):
+            allowed = _union(1 << c for c in target.get(b, ()))
+            if pool and allowed != self.full_mask:
+                yield fixed, allowed, _push(pool, through, self.cyl, n, k)
+
 
 # a context holds two neighbour sets of n^k bits per digit, base element
-# and binary relation; the callers reuse only a few (base, exponent,
-# target) triples at a time
+# and binary relation, and the k * n cylinders when a relation has arity
+# >= 3; the callers reuse only a few (base, exponent, target) at a time
 @lru_cache(maxsize=8)
 def _context(base, exponent, target):
     return _Context(base, exponent, target)
 
 
-def _normalize_problem(problem):
-    """Resolve power sources with high-arity relations by materializing."""
-    source = problem.source
-    if isinstance(source, PowerHandle) and source.base.max_arity >= 3:
-        if source.size > MAX_MATERIALIZE_VARS:
-            raise EnvelopeError(
-                "power source with arity >= 3 relations has %d elements "
-                "(materialization cap %d)" % (source.size, MAX_MATERIALIZE_VARS))
-        source = source.materialize()
-    if isinstance(source, PowerHandle):
-        return source.base, source.exponent, problem.target, source
-    return source, 1, problem.target, source
+def _as_power(source):
+    """The source as a power; an explicit structure is its own first power."""
+    return source if isinstance(source, PowerHandle) else PowerHandle(source, 1)
 
 
 def _pin_planes(pins, nt):
@@ -389,14 +412,21 @@ def _check_pins_direct(ctx, pins):
             u = _lowest(hit)
             raise InconsistentPinsError(
                 "pin %d->%d violates unary relation %s" % (u, pinned[u], name))
-    for con in ctx.high:
-        for t in con.tuples:
-            if all(v in pinned for v in t):
-                image = tuple(pinned[v] for v in t)
-                if image not in con.target:
+    for name, r, rel, trel in ctx.high:
+        # each pinned code w at position r - 2, pushed into position r - 1
+        for w, b in pins:
+            solo = [p & 1 << w for p in by_value]
+            for fixed, allowed, x in ctx.leaves(
+                    rel, trel, tuple(range(r - 1)), (r - 1,),
+                    [by_value] * (r - 2) + [solo]):
+                hit = x & pinned_outside(allowed)
+                if hit:
+                    v = _lowest(hit)
                     raise InconsistentPinsError(
-                        "pins map source %s-tuple %r to %r outside the target "
-                        "relation" % (con.name, t, image))
+                        "pins map source %s-tuple %r to %r outside the "
+                        "target relation" % (
+                            name, tuple(f[1] for f in fixed) + (w, v),
+                            tuple(f[3] for f in fixed) + (b, pinned[v])))
 
 
 class _Budget:
@@ -470,13 +500,6 @@ class _Search:
         self.queue |= changed
         return True
 
-    def _prune_var(self, var, allowed):
-        bit = 1 << var
-        gone = self.domain(bit) & ~allowed
-        for b in _bits(gone):
-            self._remove(b, bit)
-        return not gone or self._settle(bit)
-
     def _revise(self, nb, allowed):
         changed = 0
         planes = self.planes
@@ -499,34 +522,27 @@ class _Search:
                     return False
         return True
 
-    def _check_singleton(self, v):
-        """Incident arity >= 3 tuples of a freshly singleton variable."""
-        doms = {}  # domains read so far, kept current through prunes
-        for con in self.ctx.high:
-            for ti in con.incident.get(v, ()):
-                t = con.tuples[ti]
-                for x in con.members[ti]:
-                    if x not in doms:
-                        doms[x] = self.domain(1 << x)
-                unassigned = [w for w in con.members[ti]
-                              if doms[w] & (doms[w] - 1)]
-                if len(unassigned) > 1:
-                    continue
-                if not unassigned:
-                    image = tuple(doms[x].bit_length() - 1 for x in t)
-                    if image not in con.target:
-                        return False
-                    continue
-                w = unassigned[0]
-                allowed = 0
-                fixed = {x: doms[x].bit_length() - 1 for x in con.members[ti]}
-                for b in _bits(doms[w]):
-                    fixed[w] = b
-                    if tuple(fixed[x] for x in t) in con.target:
-                        allowed |= 1 << b
-                if not self._prune_var(w, allowed):
-                    return False
-                doms[w] &= allowed
+    def _forward_check(self, v):
+        """Prune through the arity >= 3 tuples of the freshly singleton v:
+        where every member but one variable x is a singleton, x keeps only
+        the values the target allows there."""
+        two = self._at_least_two()[1]
+        singles = [p & ~two for p in self.planes]  # singletons, by value
+        mine = [p & 1 << v for p in self.planes]
+        for _, r, rel, trel in self.ctx.high:
+            for p in range(r):
+                # v at p; the other positions split, by the bits of split,
+                # into the free ones, which hold one variable, and the rest
+                others = [q for q in range(r) if q != p]
+                for split in range(1, 1 << (r - 1)):
+                    free = tuple(q for i, q in enumerate(others)
+                                 if split >> i & 1)
+                    rest = tuple(q for q in others if q not in free)
+                    for _, allowed, x in self.ctx.leaves(
+                            rel, trel, (p,) + rest, free,
+                            [mine] + [singles] * len(rest)):
+                        if not self._revise(x, allowed):
+                            return False
         return True
 
     def propagate(self, queue, singles):
@@ -538,7 +554,7 @@ class _Search:
                 low = self.singles & -self.singles
                 self.singles ^= low
                 v = low.bit_length() - 1
-                if not self._check_singleton(v):
+                if self.ctx.high and not self._forward_check(v):
                     return False
                 if not self._revise_from(v, self.domain(low)):
                     return False
@@ -596,17 +612,14 @@ class _Search:
                 v = bits.find("1", v + 1)
         return dict(enumerate(vals))
 
-    def run(self, budget, static_order=False, on_solution=None):
-        """DFS to first solution, or all solutions via on_solution callback.
-
-        on_solution returning False stops the search early (cap reached).
-        Returns 'found' | 'unsat' | 'exhausted' | 'stopped'.
+    def run(self, budget, static_order, on_solution):
+        """DFS calling on_solution at each solution; on_solution returning
+        False stops the search. Returns 'unsat' once the search is
+        complete, else 'exhausted' or 'stopped'.
         """
         select = self.select_static if static_order else self.select_dynamic
         var = select()
         if var is None:
-            if on_solution is None:
-                return "found"
             return "stopped" if on_solution() is False else "unsat"
         frames = [[var, list(_bits(self.domain(1 << var))), 0, len(self.trail)]]
         while frames:
@@ -627,8 +640,6 @@ class _Search:
                 continue
             nxt = select()
             if nxt is None:
-                if on_solution is None:
-                    return "found"
                 if on_solution() is False:
                     return "stopped"
                 continue
@@ -637,21 +648,22 @@ class _Search:
         return "unsat"
 
 
-def solve(problem, limits=None):
-    """Decide the extension problem. Unsat is reported only on a fully
-    exhausted search; budget exits report exhausted with the reason."""
+def _run(problem, limits, cap=None):
+    """Search for the first solution, smallest domain first, or (given a
+    cap) for up to cap solutions in lexicographic order. Each one is
+    re-verified. Returns (status, solutions, budget); the budget holds
+    the nodes spent."""
     limits = limits or default_limits()
-    base, exponent, target, source = _normalize_problem(problem)
-    ctx = _context(base, exponent, target)
+    source, target = _as_power(problem.source), problem.target
+    ctx = _context(source.base, source.exponent, target)
     _check_pins_direct(ctx, problem.pins)
     budget = _Budget(limits)
-    if ctx.static_unsat is not None:
-        return Outcome("unsat", nodes=0, wall=budget.wall, nvars=ctx.nvars)
+    found = []
     search = _Search(ctx, problem.pins)
-    if not search.root_propagate():
-        return Outcome("unsat", nodes=0, wall=budget.wall, nvars=ctx.nvars)
-    status = search.run(budget)
-    if status == "found":
+    if ctx.static_unsat is not None or not search.root_propagate():
+        return "unsat", found, budget
+
+    def record():
         assignment = search.extract()
         ok, violations = check_is_homomorphism(source, target, assignment)
         if not ok:
@@ -662,13 +674,20 @@ def solve(problem, limits=None):
             if assignment[var] != val:
                 raise RuntimeError(
                     "internal error: found map breaks pin %d->%d" % (var, val))
-        return Outcome("found", assignment=assignment, nodes=budget.nodes,
-                       wall=budget.wall, nvars=ctx.nvars)
-    if status == "unsat":
-        return Outcome("unsat", nodes=budget.nodes, wall=budget.wall,
-                       nvars=ctx.nvars)
-    return Outcome("exhausted", nodes=budget.nodes, wall=budget.wall,
-                   reason=budget.reason, nvars=ctx.nvars)
+        found.append(assignment)
+        return cap is not None and len(found) < cap
+
+    status = search.run(budget, cap is not None, record)
+    return status, found, budget
+
+
+def solve(problem, limits=None):
+    """Decide the extension problem. Unsat is reported only on a fully
+    exhausted search; budget exits report exhausted with the reason."""
+    status, found, budget = _run(problem, limits)
+    return Outcome("found" if found else status,
+                   assignment=found[0] if found else None, nodes=budget.nodes,
+                   wall=budget.wall, reason=budget.reason, nvars=problem.nvars)
 
 
 def enumerate_solutions(problem, cap, limits=None):
@@ -676,78 +695,72 @@ def enumerate_solutions(problem, cap, limits=None):
     index, at most cap. Returns (assignments, complete)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    limits = limits or default_limits()
-    base, exponent, target, source = _normalize_problem(problem)
-    ctx = _context(base, exponent, target)
-    _check_pins_direct(ctx, problem.pins)
-    budget = _Budget(limits)
-    if ctx.static_unsat is not None:
-        return [], True
-    search = _Search(ctx, problem.pins)
-    if not search.root_propagate():
-        return [], True
-    out = []
+    status, found, _ = _run(problem, limits, cap)
+    return found, status == "unsat"
 
-    def record():
-        assignment = search.extract()
-        ok, violations = check_is_homomorphism(source, target, assignment)
-        if not ok:
-            raise RuntimeError(
-                "internal error: enumerated map fails re-verification: %r"
-                % (violations[:4],))
-        out.append(assignment)
-        return len(out) < cap
 
-    status = search.run(budget, static_order=True, on_solution=record)
-    return out, status == "unsat"
+def _push(image, succs, cyl, n, k):
+    """The codes reached from image when each digit j moves from x to the
+    values succs[j][x]: moving the members whose digit j is x by (y - x) *
+    n^(k-1-j) sets digit j to y."""
+    for j in range(k):
+        w = n ** (k - 1 - j)
+        moved = 0
+        for x, ys in succs[j].items():
+            part = image & cyl[j][x]
+            if part:
+                for y in ys:
+                    moved |= (part << (y - x) * w if y >= x
+                              else part >> (x - y) * w)
+        image = moved
+    return image
 
 
 def _power_violation(handle, rel, trel, planes, vals, cyl):
-    """The first violation of one unary or binary relation by a map on a
-    power, or None.
+    """The first violation of one relation by a map on a power, or None.
 
-    For each value a, the preimage of a is pushed through the base
-    relation one digit at a time: moving the members whose digit j is x
-    by (y - x) * n^(k-1-j) sets digit j to y, for each base pair (x, y).
-    The image must avoid every value b with (a, b) outside the target.
+    A unary relation is checked on its members at once. For arity r >= 2,
+    the first r - 2 positions are fixed one code at a time, leaving a
+    binary slice of R at each digit. Each value a's preimage is pushed
+    through it (see _push) and must avoid the values b that the target's
+    slice at the fixed images does not allow after a.
     """
     n = handle.base.size
     k = handle.exponent
-    everything = (1 << handle.size) - 1
     if rel.arity == 1:
-        bad = _within(cyl, everything, [a for (a,) in rel.tuples]) & _union(
+        bad = _within(cyl, (1 << handle.size) - 1,
+                      [a for (a,) in rel.tuples]) & _union(
             p for b, p in enumerate(planes) if (b,) not in trel.tuples)
         v = _lowest(bad)
         return (rel.name, (v,), (vals[v],)) if bad else None
-    succ = {}
-    for x, y in rel.tuples:
-        succ.setdefault(x, []).append(y)
-    for a, pre in enumerate(planes):
-        off = _union(p for b, p in enumerate(planes)
-                     if (a, b) not in trel.tuples)
-        if not pre or not off:
-            continue
-        image = pre
-        for j in range(k):
-            w = n ** (k - 1 - j)
-            moved = 0
-            for x, ys in succ.items():
-                part = image & cyl[j][x]
-                if part:
-                    for y in ys:
-                        moved |= (part << (y - x) * w if y >= x
-                                  else part >> (x - y) * w)
-            image = moved
-        bad = image & off
-        if bad:
-            v = _lowest(bad)
-            dv = handle.decode(v)
-            from_ = pre
-            for j in range(k):
-                from_ &= _within([cyl[j]], everything,
-                                 [x for x, ys in succ.items() if dv[j] in ys])
-            u = _lowest(from_)
-            return (rel.name, (u, v), (a, vals[v]))
+    slices, allowed = {(): {}}, {(): trel.tuples}
+    if rel.arity == 2:
+        for x, y in rel.tuples:
+            slices[()].setdefault(x, []).append(y)
+    else:
+        slices, allowed = {}, {}
+        for t in rel.sorted_tuples:
+            slices.setdefault(t[:-2], {}).setdefault(t[-2], []).append(t[-1])
+        for t in trel.tuples:
+            allowed.setdefault(t[:-2], set()).add(t[-2:])
+    for choice in itertools.product(sorted(slices), repeat=k):
+        # choice[j]: the values of the fixed positions at digit j
+        prefix = tuple(handle.encode(column) for column in zip(*choice))
+        head = tuple(vals[u] for u in prefix)
+        succs = [slices[c] for c in choice]
+        pairs = allowed.get(head, ())
+        for a, pre in enumerate(planes):
+            off = _union(p for b, p in enumerate(planes)
+                         if (a, b) not in pairs)
+            bad = pre and off and _push(pre, succs, cyl, n, k) & off
+            if bad:
+                v = _lowest(bad)
+                dv = handle.decode(v)
+                for j in range(k):
+                    pre &= _union(cyl[j][x] for x, ys in succs[j].items()
+                                  if dv[j] in ys)
+                u = _lowest(pre)
+                return (rel.name, prefix + (u, v), head + (a, vals[v]))
     return None
 
 
@@ -755,43 +768,19 @@ def check_is_homomorphism(source, target, mapping):
     """Independent verification that mapping is a homomorphism.
 
     Returns (ok, violations); each violation is (relation, source tuple,
-    image tuple). Unary and binary relations of a power source are checked
-    on value bitsets without materializing the power, at most one
-    violation per relation; a power whose arity >= 3 relations constrain
-    anything is materialized and checked tuple by tuple.
+    image tuple), at most one per relation. An explicit source is checked
+    as its own first power. The relations of a power are checked on value
+    bitsets, without listing its tuples (see _power_violation).
     """
-    if isinstance(source, PowerHandle) and any(
-            rel.arity >= 3 and rel.tuples and len(
-                target.relation_map[rel.name].tuples) < target.size ** rel.arity
-            for rel in source.base.relations):
-        source = source.materialize()
+    source = _as_power(source)
+    planes, vals = _value_planes(mapping, source.size, target.size)
+    cyl = _cylinders(source.base.size, source.exponent)
     violations = []
-    if isinstance(source, PowerHandle):
-        planes, vals = _value_planes(mapping, source.size, target.size)
-        cyl = _cylinders(source.base.size, source.exponent)
-        for rel in source.base.relations:
-            trel = target.relation_map[rel.name]
-            if not rel.tuples or len(trel.tuples) == target.size ** rel.arity:
-                continue
-            found = _power_violation(source, rel, trel, planes, vals, cyl)
-            if found:
-                violations.append(found)
-        return (not violations), violations
-    if isinstance(mapping, dict):
-        missing = [v for v in range(source.size) if v not in mapping]
-        if missing:
-            raise ValueError("mapping misses source elements %r" % (missing[:8],))
-    get = lambda v: mapping[v]
-    for v in range(source.size):
-        val = get(v)
-        if not 0 <= val < target.size:
-            raise ValueError("mapping value %r outside the target carrier" % (val,))
-    for rel in source.relations:
+    for rel in source.base.relations:
         trel = target.relation_map[rel.name]
-        for t in rel.sorted_tuples:
-            image = tuple(get(v) for v in t)
-            if image not in trel.tuples:
-                violations.append((rel.name, t, image))
-                if len(violations) >= 64:
-                    return False, violations
+        if not rel.tuples or len(trel.tuples) == target.size ** rel.arity:
+            continue
+        found = _power_violation(source, rel, trel, planes, vals, cyl)
+        if found:
+            violations.append(found)
     return (not violations), violations

@@ -177,19 +177,18 @@ def test_pp_command(rel, tuplefile, capsys):
 
 
 def test_envelope_errors_report_exhausted(rel, tuplefile, capsys):
-    # gamma: nine distinct columns over a ternary relation on three points
-    # need a 3^9-variable extension CSP, past the envelope
+    # gamma: thirteen distinct columns over a ternary relation on three
+    # points need a 3^13-variable extension CSP, past search.MAX_CSP_VARS
     cyc = FiniteStructure(3, [Relation("cyc", 3, {(0, 1, 2), (1, 2, 0),
                                                   (2, 0, 1)})], name="cyc")
-    tau = tuplefile("tau9.tuples", 3,
-                    sorted(itertools.product(range(3), repeat=3))[:9])
+    tau = tuplefile("tau13.tuples", 3,
+                    sorted(itertools.product(range(3), repeat=3))[:13])
     code, env = run_json(capsys, ["gamma", "--tuples", tau, rel(cyc)])
     assert code == 1 and env["exit_code"] == 1
     assert env["command"] == "gamma"
     assert env["result"] == {
         "status": "exhausted",
-        "reason": "power source with arity >= 3 relations has 19683 "
-                  "elements (materialization cap 4096)"}
+        "reason": "extension CSP has 1594323 variables (cap 1048576)"}
     # inv: 2^5 = 32 points exceed the exhaustive enumeration cap
     code, env = run_json(capsys, ["inv", "--m", "5", rel(chain2())])
     assert code == 1 and env["exit_code"] == 1

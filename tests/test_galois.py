@@ -413,6 +413,18 @@ def test_cross_check_inv_pol_envelope():
         cross_check_inv_pol(chain2(), 5, 1)
 
 
+def test_cross_check_inv_pol_charges_its_enumerations():
+    # listing Pol^1 and Pol^2 of the 3-chain takes 15 + 308 nodes: each
+    # fits in 310, both together do not
+    le = {(i, j) for i in range(3) for j in range(3) if i <= j}
+    chain3 = FiniteStructure(3, [Relation("le", 2, le)], name="chain3")
+    with pytest.raises(EnvelopeError, match="arity 2 was cut off"):
+        cross_check_inv_pol(chain3, 1, 2, SearchLimits(node_budget=310))
+    assert cross_check_inv_pol(chain3, 1, 2, SearchLimits(node_budget=400))
+    with pytest.raises(EnvelopeError, match="spent before the arity-2"):
+        cross_check_inv_pol(chain3, 1, 2, SearchLimits(node_budget=15))
+
+
 def _polylocality_by_full_walk(structure, m):
     # every qf candidate of every tuple set, in sweep order, settled
     # through extendable: the walk the skips must agree with
@@ -487,16 +499,24 @@ def test_galois_entry_points_spend_one_deadline(monkeypatch):
 
 
 def test_galois_entry_points_spend_one_node_allowance(monkeypatch):
-    # each CSP gets the nodes the earlier CSPs of the call left over
+    # each CSP, the polymorphism enumerations among them, gets the nodes
+    # the earlier CSPs of the call left over
     seen = []
     real = galois.extendable
+    real_run = galois._run
 
     def counted(structure, f, limits):
         res = real(structure, f, limits)
         seen.append((limits.node_budget, res.detail.get("nodes", 0)))
         return res
 
+    def counted_run(problem, limits, cap):
+        out = real_run(problem, limits, cap)
+        seen.append((limits.node_budget, out[2].nodes))
+        return out
+
     monkeypatch.setattr(galois, "extendable", counted)
+    monkeypatch.setattr(galois, "_run", counted_run)
     limits = SearchLimits(node_budget=10_000)
     arc = FiniteStructure(2, [Relation("r", 2, {(0, 1)})], name="arc2")
     for call in (lambda: gamma_closure(bowtie(), [(0, 1), (1, 0)], limits),
@@ -509,6 +529,8 @@ def test_galois_entry_points_spend_one_node_allowance(monkeypatch):
         spent = itertools.accumulate((nodes for _, nodes in seen), initial=0)
         assert [budget for budget, _ in seen] == [
             10_000 - s for s, _ in zip(spent, seen)]
+    # Pol^1 and Pol^2 were listed first, and spent nodes of their own
+    assert seen[0][1] + seen[1][1] > 0
     # 16 solves of at most 12 nodes each, 60 in all
     monkeypatch.setattr(galois, "extendable", real)
     assert gamma_closure(bowtie(), [(0, 1), (1, 0)],

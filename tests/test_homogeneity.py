@@ -182,19 +182,20 @@ def test_extendable_merged_columns_give_a_table_on_the_kept_columns():
 
 
 def test_extendable_out_of_csp_envelope_raises():
-    # a ternary relation caps the extension CSP at 4096 variables; nine
-    # distinct columns on three points need 3^9, so a candidate outside tau
-    # that is neither rejected nor a projection must raise EnvelopeError
+    # thirteen distinct columns on three points need an extension CSP of
+    # 3^13 > 2^20 variables (search.MAX_CSP_VARS), so a candidate outside
+    # tau that is neither rejected nor a projection must raise EnvelopeError
     A = FiniteStructure(3, [Relation("cyc", 3, {(0, 1, 2), (1, 2, 0),
                                                 (2, 0, 1)})])
-    tau = sorted(itertools.product(range(3), repeat=3))[:9]
+    tau = sorted(itertools.product(range(3), repeat=3))[:13]
     extra = [b for b in qf_type_closure(A, tau) if b not in tau]
     assert extra
     f = tau_extension_map(tau, extra[0], 3)
     assert is_partial_polymorphism(A, f)[0]
-    with pytest.raises(EnvelopeError):
+    reason = r"extension CSP has 1594323 variables \(cap 1048576\)"
+    with pytest.raises(EnvelopeError, match=reason):
         extendable(A, f, default_limits())
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(EnvelopeError, match=reason):
         gamma_closure(A, tau)
 
 
@@ -411,12 +412,22 @@ def n5_lattice():
     return canonical_structure("poset", 5, le, name="n5")
 
 
+def ternary(n, rule, name):
+    return FiniteStructure(n, [Relation("r", 3, {
+        t for t in itertools.product(range(n), repeat=3) if rule(*t)})],
+        name=name)
+
+
 def test_decide_ph_known_verdicts():
     from polyhom.crosscheck import verify_certificate
     limits = default_limits()
     three_chains2 = canonical_structure(
         "poset", 6, [(i, i) for i in range(6)] + [(0, 1), (2, 3), (4, 5)],
         name="3chain2")
+    mono3 = ternary(3, lambda a, b, c: a <= b <= c, "mono3")
+    # its near-unanimity probe is a 256-variable CSP whose relation has
+    # 50^4 tuples on the power, none of them listed
+    minle4 = ternary(4, lambda a, b, c: min(a, b) <= c, "minle4")
     cases = [(chain2(), "PH"), (k2(), "PH"), (path3(), "NotPH"),
              (bowtie(), "NotPH"),
              # PH, and past the reach of a sweep over all tuple sets
@@ -425,7 +436,7 @@ def test_decide_ph_known_verdicts():
              (canonical_structure("graph", 6, [(0, 1), (2, 3), (4, 5)],
                                   name="3k2"), "PH"),
              (m3_lattice(), "PH"), (n5_lattice(), "PH"),
-             (three_chains2, "NotPH")]
+             (three_chains2, "NotPH"), (mono3, "PH"), (minle4, "NotPH")]
     for A, expected in cases:
         v = decide_ph(A, limits)
         assert v.status == expected, A.name
@@ -516,8 +527,11 @@ def test_decide_ph_spends_one_node_allowance():
     v = decide_ph(diamond(), SearchLimits(node_budget=100))
     assert v.status == "Inconclusive"
     assert v.certificate is None
-    assert any(b["step"] == "sweep" and b["reason"] == "node_budget"
-               for b in v.blocked)
+    # one candidate ran out of nodes, and the sweep stopped there: the
+    # stop is not counted as a second blocked candidate
+    [block] = v.blocked
+    assert block["step"] == "sweep" and block["reason"] == "node_budget"
+    assert block["count"] == 1 and "tau" in block
     assert decide_ph(diamond()).status == "PH"
 
 

@@ -121,6 +121,33 @@ def test_power_source_solves():
     brute = oracle_homomorphisms(h.materialize(), A)
     image = tuple(out.assignment[i] for i in range(h.size))
     assert image in brute
+    # relations of arity 3, alone or beside a unary or binary one, are
+    # propagated on power(A, k) without listing R^k: the solutions, with
+    # and without pins, are exactly the oracle's on the materialized power
+    # (the oracle lists every map, so n^k stays at most 9)
+    rng = random.Random(11)
+    for arities in ([3], [3], [1, 3], [2, 3], [3, 3]):
+        for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            A = _random_structure(rng, n, arities)
+            T = A if rng.random() < 0.5 else _random_structure(
+                rng, rng.randint(2, 3), arities)
+            h = power(A, k)
+            P = h.materialize()
+            for npins in (0, 1, 2):
+                pins = {rng.randrange(h.size): rng.randrange(T.size)
+                        for _ in range(npins)}
+                brute = sorted(oracle_homomorphisms(P, T, pins))
+                prob = ExtensionProblem(h, T, pins)
+                try:
+                    sols, complete = enumerate_solutions(prob, cap=100_000)
+                except InconsistentPinsError:
+                    assert not brute
+                    continue
+                assert complete
+                assert sorted(tuple(s[i] for i in range(h.size))
+                              for s in sols) == brute
+                out = solve(prob)
+                assert out.found == bool(brute) and out.unsat == (not brute)
 
 
 def test_determinism_identical_outcomes():
