@@ -22,7 +22,7 @@ from functools import lru_cache
 from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
                          StructureError, broken_axiom, canonical_structure,
                          check_family, partition_pairs, shared_tuple)
-from .search import default_limits
+from .search import _allowance
 from .homogeneity import (FunctionTable, canonical_partial_nu, extendable,
                           is_partial_polymorphism)
 from .galois import _walk_points, invariant_relations
@@ -160,7 +160,6 @@ def graph_star_witness(structure, limits=None):
     common neighbor that does not exist. Returns (arity, map), or None
     when every vertex has at most one neighbor.
     """
-    limits = limits or default_limits()
     nbrs = _graph_neighbors(structure)
     n = structure.size
     b = _branch_vertex(nbrs)
@@ -211,8 +210,10 @@ def _no_majority_witness(structure, limits):
 
 def classify_graph(structure, limits=None, with_witness=True):
     """PH exactly when the edge set is empty or every connected component
-    is a single edge."""
-    limits = limits or default_limits()
+    is a single edge. The witness CSPs it chains (star, no majority,
+    isolated vertex) spend one node and wall allowance (search._Budget),
+    built from limits."""
+    limits = _allowance(limits)
     nbrs = _graph_neighbors(structure)
     comps = _components(nbrs)
     edgeless = all(not s for s in nbrs)
@@ -269,7 +270,6 @@ def poset_pair_witness(structure, limits=None):
     no common upper bound cannot extend (the image of the bound would
     dominate both targets); dually with lower bounds. Returns (1, map) or
     None when neither configuration exists."""
-    limits = limits or default_limits()
     le = _family_pairs(structure, "poset")
     n = structure.size
     incomp = [(x, y) for x in range(n) for y in range(n)
@@ -294,7 +294,6 @@ def poset_pair_witness(structure, limits=None):
 
 def classify_poset(structure, limits=None, with_witness=True):
     """PH exactly when the order is an antichain or a lattice."""
-    limits = limits or default_limits()
     le = _family_pairs(structure, "poset")
     n = structure.size
     antichain = all(a == b for a, b in le)
@@ -337,7 +336,6 @@ def classify_poset(structure, limits=None, with_witness=True):
 def strict_poset_witness(structure, limits=None):
     """Map some b to a minimal element a lying strictly below b; an
     extension would need the image of a strictly below a itself."""
-    limits = limits or default_limits()
     lt = _family_pairs(structure, "strict_poset")
     n = structure.size
     minimal = [v for v in range(n) if not any((u, v) in lt for u in range(n))]
@@ -353,7 +351,6 @@ def classify_strict_poset(structure, limits=None, with_witness=True):
     """PH exactly when the strict order is empty: any nonempty finite
     strict order has a minimal element a below some b, and mapping b to a
     is a partial polymorphism with no extension."""
-    limits = limits or default_limits()
     lt = _family_pairs(structure, "strict_poset")
     reasons = {"is_empty_order": not lt,
                "finite_collapse": bool(lt)}
@@ -494,7 +491,6 @@ def structure_partitions(structure):
 def classify_eq_lattice(structure, limits=None):
     """For a structure whose relations form a meet-complete sublattice of
     the partition lattice: PH exactly when the family is arithmetical."""
-    limits = limits or default_limits()
     n = structure.size
     family = structure_partitions(structure)
     fam_set = set(family)
@@ -520,7 +516,6 @@ def escalating_counterexample(structure, limits=None):
     values) for a partial polymorphism with an unsatisfiable extension
     problem, up to ESCALATION_MAX_ARITY and ESCALATION_MAX_DOMAIN domain
     rows. Returns (arity, map) or None."""
-    limits = limits or default_limits()
     n = structure.size
     for k in range(1, ESCALATION_MAX_ARITY + 1):
         points = sorted(itertools.product(range(n), repeat=k))
@@ -546,7 +541,6 @@ def kaarli_cross_check(n, limits=None):
     the budget.
     """
     from .homogeneity import decide_ph
-    limits = limits or default_limits()
     families = enumerate_meet_complete_sublattices(n)
     rows = []
     agreements = 0

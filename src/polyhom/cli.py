@@ -49,8 +49,8 @@ def _strip_timing(obj):
 
 def _limits_from(args):
     base = default_limits()
-    node = args.node_budget if args.node_budget else base.node_budget
-    wall = args.wall_budget if args.wall_budget else base.wall_budget
+    node = base.node_budget if args.node_budget is None else args.node_budget
+    wall = base.wall_budget if args.wall_budget is None else args.wall_budget
     return SearchLimits(node_budget=node, wall_budget=wall)
 
 

@@ -75,7 +75,6 @@ def verify_certificate(structure, verdict_json, limits=None):
     produced it. Returns {ok, kind, checks}; a NotPH map must re-verify as
     a partial polymorphism with an unsatisfiable extension problem, and a
     PH near-unanimity witness must re-verify as one."""
-    limits = limits or default_limits()
     status = verdict_json.get("status")
     cert = verdict_json.get("certificate")
     checks = []

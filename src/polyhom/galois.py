@@ -29,8 +29,9 @@ from operator import itemgetter, or_
 from .structures import (EnvelopeError, PartialOpMap, RelationSet,
                          StructureError, cylinder, power, shared_tuple,
                          tuple_set)
-from .search import ExtensionProblem, _bits, _run, default_limits
-from .homogeneity import FunctionTable, _Allowance, extendable
+from .search import (ExtensionProblem, _allowance, _bits,
+                     enumerate_solutions)
+from .homogeneity import FunctionTable, extendable
 
 # closed_sets: points of the walked space, and the closed sets it lists
 MAX_INV_POINTS = 24
@@ -49,17 +50,12 @@ def enumerate_polymorphisms(structure, k, limits=None):
     lexicographic table order. Returns (tables, complete); complete is
     False when the listing stopped at MAX_ENUMERATED_POLYMORPHISMS tables
     or at a budget. Raises EnvelopeError past search.MAX_CSP_VARS table
-    entries."""
-    return _polymorphisms(structure, k, limits)[:2]
-
-
-def _polymorphisms(structure, k, limits):
-    """enumerate_polymorphisms, with the nodes the enumeration spent."""
-    status, sols, budget = _run(
-        ExtensionProblem(power(structure, k), structure), limits,
-        MAX_ENUMERATED_POLYMORPHISMS)
+    entries. limits is as for search.solve."""
+    sols, complete = enumerate_solutions(
+        ExtensionProblem(power(structure, k), structure),
+        MAX_ENUMERATED_POLYMORPHISMS, limits)
     return [FunctionTable(k, structure.size, "table", list(s.values()))
-            for s in sols], status == "unsat", budget.nodes
+            for s in sols], complete
 
 
 def _point(i, n, m):
@@ -276,17 +272,15 @@ def _shared(value):
     return value
 
 
-def _settled_candidates(structure, tau, candidates, allowance):
+def _settled_candidates(structure, tau, candidates, budget):
     """Each candidate image b of tau, in order, with whether the map tau ->
-    b extends to a polymorphism, solved within what is left of the
-    allowance. Raises EnvelopeError when a candidate cannot be settled in
+    b extends to a polymorphism, its CSP spending the call's allowance
+    budget. Raises EnvelopeError when a candidate cannot be settled in
     the budget."""
     for b in candidates:
-        limits = allowance.left()
-        if limits is not None:
-            res = allowance.spend(extendable(
-                structure, tau_extension_map(tau, b, structure.size), limits))
-        if limits is None or res.exhausted:
+        res = extendable(structure, tau_extension_map(tau, b, structure.size),
+                         budget)
+        if res.exhausted:
             raise EnvelopeError(
                 "image closure candidate %r exhausted the search budget"
                 % (b,))
@@ -295,13 +289,14 @@ def _settled_candidates(structure, tau, candidates, allowance):
 
 def gamma_closure(structure, tau, limits=None):
     """Images of tau under arity-|tau| polymorphisms, a sorted tuple
-    certified per candidate within one node and wall allowance. Raises
-    EnvelopeError when a candidate cannot be settled within the budget,
-    rather than returning an uncertified set."""
+    certified per candidate. The call builds one node and wall allowance
+    (search._Budget) from limits, and every candidate's CSP spends from
+    it. Raises EnvelopeError when a candidate cannot be settled within the
+    budget, rather than returning an uncertified set."""
     tau = sorted(set(map(tuple, tau)))
     return _shared(tuple(b for b, extends in _settled_candidates(
         structure, tau, qf_type_closure(structure, tau),
-        _Allowance(limits or default_limits())) if extends))
+        _allowance(limits)) if extends))
 
 
 @dataclass(slots=True)
@@ -327,7 +322,8 @@ def is_pp_definable(structure, sigma, limits=None):
 
     sigma is a RelationSet or an iterable of same-arity tuples. The empty
     relation is definable by convention. On a negative answer the witness
-    is the first closure tuple outside sigma.
+    is the first closure tuple outside sigma. Its one gamma_closure call
+    spends one node and wall allowance.
     """
     if isinstance(sigma, RelationSet):
         tuples = set(sigma.tuples)
@@ -477,9 +473,11 @@ def check_finite_polylocal(structure, m, limits=None):
     A^m arise from a polymorphism? Fails with the first separating pair in
     sweep order (tuple-set size ascending, then lexicographic), so the
     images in qf(tau minus t), within gamma(tau minus t) and gamma(tau), are
-    skipped as in homogeneity._sweep_level. One node and wall allowance
-    per call. Raises EnvelopeError past MAX_POLYLOCAL_SETS tuple sets."""
-    allowance = _Allowance(limits or default_limits())
+    skipped as in homogeneity._sweep_level. The call builds one node and
+    wall allowance (search._Budget) from limits, and every candidate's CSP
+    spends from it. Raises EnvelopeError past MAX_POLYLOCAL_SETS tuple
+    sets."""
+    budget = _allowance(limits)
     n = structure.size
     space = n ** m
     # 2^space - 1 tuple sets, compared without building 2^space
@@ -497,7 +495,7 @@ def check_finite_polylocal(structure, m, limits=None):
         qf[mask] = atoms.qf(mask)
         tau = [atoms.point(i) for i in combo]
         for b, extends in _settled_candidates(
-                structure, tau, atoms.decode(qf[mask] & ~known), allowance):
+                structure, tau, atoms.decode(qf[mask] & ~known), budget):
             if not extends:
                 return PolylocalResult(False, (tau, b), checked)
     return PolylocalResult(True, None, (1 << space) - 1)
@@ -537,19 +535,18 @@ def cross_check_inv_pol(structure, m, K, limits=None):
     gamma(S). The gamma-closed family is contained in every invariant
     family; they coincide once k reaches the stabilization arity.
     Containment failures raise, since they would mean one of the two
-    computations is wrong. One node and wall allowance per call, which the
-    enumerations draw on first.
+    computations is wrong. The call builds one node and wall allowance
+    (search._Budget) from limits; the enumerations spend from it first,
+    then the candidates' CSPs.
     """
-    allowance = _Allowance(limits or default_limits())
+    budget = _allowance(limits)
     n = structure.size
     tables, by_arity, pol_counts = [], {}, {}
     for k in range(1, K + 1):
-        left = allowance.left()
-        if left is None:
+        if budget.spent():
             raise EnvelopeError("the node budget was spent before the "
                                 "arity-%d polymorphism enumeration" % k)
-        found, complete, nodes = _polymorphisms(structure, k, left)
-        allowance.nodes -= nodes
+        found, complete = enumerate_polymorphisms(structure, k, budget)
         if not complete:
             raise EnvelopeError(
                 "polymorphism enumeration at arity %d was cut off" % k)
@@ -565,7 +562,7 @@ def cross_check_inv_pol(structure, m, K, limits=None):
         todo &= ~sum(1 << i for i in closed)
         tau = [atoms.point(i) for i in sorted(seed)]
         return closed.union(_code(b, n) for b, extends in _settled_candidates(
-            structure, tau, atoms.decode(todo), allowance) if extends)
+            structure, tau, atoms.decode(todo), budget) if extends)
 
     gamma_family = _closed_family(n, m, gamma)
     stabilization = None

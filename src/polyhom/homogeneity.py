@@ -15,14 +15,12 @@ required candidate was extended with a witness.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from .structures import (EnvelopeError, PartialOpMap, PowerHandle,
                          StructureError, power, reduce_columns,
                          MAX_MATERIALIZED_POWER)
-from .search import (ExtensionProblem, SearchLimits, _Budget, _bits,
-                     _lowest, default_limits, solve)
+from .search import ExtensionProblem, _allowance, _bits, _lowest, solve
 
 # row-selection cap for the partial polymorphism check
 PP_COMBO_CAP = 2_000_000
@@ -191,9 +189,9 @@ def extendable(structure, f, limits=None):
     'table' on the kept columns; relations of every arity constrain it on
     the implicit power. Raises EnvelopeError when that CSP has more than
     search.MAX_CSP_VARS variables. A returned witness is always re-verified
-    against f before it is reported.
+    against f before it is reported. limits is as for search.solve: the
+    CSP spends a caller's allowance, or one of its own.
     """
-    limits = limits or default_limits()
     ok, violation = is_partial_polymorphism(structure, f)
     if not ok:
         return ExtendResult(
@@ -262,10 +260,14 @@ def find_nu_polymorphism(structure, r, limits=None):
     of the canonical partial map: extendable re-verifies that a witness
     extends that map, so a witness is near-unanimity. Reports the
     partial-polymorphism check in the detail either way."""
-    f = canonical_partial_nu(structure, r)
+    return _probe_nu(structure, canonical_partial_nu(structure, r), limits)
+
+
+def _probe_nu(structure, f, limits):
+    """find_nu_polymorphism on the canonical partial map f."""
     res = extendable(structure, f, limits)
     res.detail["partial_map_entries"] = len(f.entries)
-    res.detail["nu_arity"] = r
+    res.detail["nu_arity"] = f.arity
     return res
 
 
@@ -343,7 +345,7 @@ def _blocking_patterns_all_values(structure, x, k, budget):
     return out
 
 
-def _one_point_counterexample(structure, k, limits):
+def _one_point_counterexample(structure, k, budget):
     """Search for a partial polymorphism f and a point x such that every
     value extension at x breaks the partial polymorphism property.
 
@@ -359,10 +361,11 @@ def _one_point_counterexample(structure, k, limits):
     pi(x). The search at each point is complete, so the points where it
     succeeds are closed under pi, and the lexicographically first of them
     is non-decreasing: the answer is the one a scan of all n^k points
-    gives, with fewer steps.
+    gives, with fewer steps. Each pattern step spends a node of budget,
+    and detail["steps"] counts those of this search.
     """
     n = structure.size
-    budget = _Budget(limits)
+    start = budget.nodes
     exhausted = False
     try:
         for x in itertools.combinations_with_replacement(range(n), k):
@@ -395,15 +398,14 @@ def _one_point_counterexample(structure, k, limits):
                 "fails",
                 {"map": f, "point": tuple(int(a) for a in x),
                  "blocked_values": blocked},
-                {"steps": budget.nodes})
+                {"steps": budget.nodes - start})
     except _SearchBudget:
-        return KphResult("exhausted", None,
-                         {"reason": budget.reason, "steps": budget.nodes})
+        return KphResult("exhausted", None, {"reason": budget.reason,
+                                             "steps": budget.nodes - start})
     if exhausted:
-        return KphResult("exhausted", None,
-                         {"reason": "pattern_envelope",
-                          "steps": budget.nodes})
-    return KphResult("holds", None, {"steps": budget.nodes})
+        return KphResult("exhausted", None, {"reason": "pattern_envelope",
+                                             "steps": budget.nodes - start})
+    return KphResult("holds", None, {"steps": budget.nodes - start})
 
 
 def _merge_patterns(structure, k, x, per_value, idx, acc, budget):
@@ -448,18 +450,17 @@ def is_k_ph(structure, k, limits=None):
 
     Searches for a bounded stuck pair directly, at one point per orbit of
     the coordinate permutations of A^k: the non-decreasing points, in
-    lexicographic order (see _one_point_counterexample). The node and wall
-    budgets are one allowance for the whole call; each pattern step spends
-    one node, and detail["steps"] counts the steps of the visited points
-    only. A is k-PH iff A^k is hom-homogeneous, so is_hom_homogeneous on
-    the materialized power gives the same status.
+    lexicographic order (see _one_point_counterexample). The call builds
+    one node and wall allowance (search._Budget) from limits; each pattern
+    step spends one node of it, and detail["steps"] counts the steps of the
+    visited points only. A is k-PH iff A^k is hom-homogeneous, so
+    is_hom_homogeneous on the materialized power gives the same status.
     """
-    limits = limits or default_limits()
     if isinstance(structure, PowerHandle):
         structure = structure.materialize()
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _one_point_counterexample(structure, k, limits)
+    return _one_point_counterexample(structure, k, _allowance(limits))
 
 
 def is_hom_homogeneous(structure, limits=None):
@@ -504,37 +505,7 @@ def _record_block(blocked, entry):
     blocked.append(entry)
 
 
-class _Allowance:
-    """The one node and wall allowance of a top-level call. Each solve
-    gets what is left of both, and spend takes the nodes it reports off."""
-
-    __slots__ = ("nodes", "deadline")
-
-    def __init__(self, limits):
-        self.nodes = limits.node_budget
-        self.deadline = (time.monotonic() + limits.wall_budget
-                         if limits.wall_budget else None)
-
-    def passed(self):
-        """Whether the deadline has passed."""
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def left(self):
-        """The limits of the next solve, or None once the nodes are spent.
-        Past the deadline a solve still gets 1e-9 s, and settles what
-        propagation alone settles."""
-        if self.nodes < 1:
-            return None
-        return SearchLimits(self.nodes, None if self.deadline is None else
-                            max(self.deadline - time.monotonic(), 1e-9))
-
-    def spend(self, res):
-        """res, an ExtendResult, once its solve's nodes are taken off."""
-        self.nodes -= res.detail.get("nodes", 0)
-        return res
-
-
-def _sweep_level(structure, m, allowance, blocked, stats):
+def _sweep_level(structure, m, budget, blocked, stats):
     """Check every qf-closed set Q over A^m against its minimal covers.
 
     qf(tau) depends only on the atoms all of tau satisfies, and gamma is
@@ -544,6 +515,8 @@ def _sweep_level(structure, m, allowance, blocked, stats):
     a cover G is verified, a later cover only needs G, since gamma is
     idempotent. An image in qf(tau0 minus one tuple) is skipped when that
     smaller set is settled: every cover of it was checked, none blocked.
+    Every CSP spends the call's one allowance, budget; the deadline is
+    checked before each cover and the nodes before each candidate.
     Returns ("complete", None), ("blocked", None) when some candidate or
     the level itself was out of reach, ("wall_budget", None) once the
     deadline has passed, ("node_budget", None) once the nodes are spent,
@@ -574,7 +547,7 @@ def _sweep_level(structure, m, allowance, blocked, stats):
         verified = None
         complete = True
         for cover in atoms.covers(q, atom_mask):
-            if allowance.passed():
+            if budget.late():
                 return stop("wall_budget")
             stats["covers"] += 1
             todo = (q if verified is None else verified) & ~cover
@@ -586,14 +559,13 @@ def _sweep_level(structure, m, allowance, blocked, stats):
             tau = atoms.decode(cover)
             ok = True
             for i in _bits(todo):
-                limits = allowance.left()
-                if limits is None:
+                if budget.spent():
                     return stop("node_budget")
                 b = atoms.point(i)
                 f = tau_extension_map(tau, b, structure.size)
                 stats["extendable_calls"] += 1
                 try:
-                    res = allowance.spend(extendable(structure, f, limits))
+                    res = extendable(structure, f, budget)
                 except EnvelopeError as e:
                     why = {"reason": "envelope", "detail": str(e)}
                 else:
@@ -621,12 +593,13 @@ def decide_ph(structure, limits=None):
     whose absence is already a certified negative; then, for m = 1..d,
     sweep the qf-closed sets over A^m through their minimal covers and
     require every quantifier-free-type-closed image to be extendable (see
-    _sweep_level). The node and wall budgets are one allowance for the
-    whole call: each CSP gets what is left of both. A budget or envelope
-    block never produces a verdict by itself: if nothing failed outright
-    the result is Inconclusive.
+    _sweep_level). The call builds one node and wall allowance
+    (search._Budget) from limits, and the NU probe and every sweep CSP
+    spend from it; each CSP's detail["nodes"] is its own share. A budget
+    or envelope block never produces a verdict by itself: if nothing
+    failed outright the result is Inconclusive.
     """
-    allowance = _Allowance(limits or default_limits())
+    budget = _allowance(limits)
     n = structure.size
     trace = []
     blocked = []
@@ -638,8 +611,7 @@ def decide_ph(structure, limits=None):
     nu_arity = d + 1
     nu_partial = canonical_partial_nu(structure, nu_arity)
     try:
-        nu = allowance.spend(find_nu_polymorphism(structure, nu_arity,
-                                                  allowance.left()))
+        nu = _probe_nu(structure, nu_partial, budget)
     except EnvelopeError as e:
         nu = None
         _record_block(blocked, {"step": "nu", "arity": nu_arity,
@@ -665,7 +637,7 @@ def decide_ph(structure, limits=None):
                 "uncertified answer")
     sweep_stats = {"qf_sets": 0, "covers": 0, "extendable_calls": 0}
     for m in range(1, d + 1):
-        outcome, refutation = _sweep_level(structure, m, allowance, blocked,
+        outcome, refutation = _sweep_level(structure, m, budget, blocked,
                                            sweep_stats)
         if outcome == "not_extendable":
             tau, b, f, res = refutation

@@ -19,6 +19,14 @@ the slice of R that the other fixed digits leave, giving every such x
 (per-digit supports, cf. Compact-Table, Demeulenaere et al., CP 2016).
 The queues are bitsets; the fixpoint does not depend on their order.
 
+A top-level call (decide_ph, is_k_ph, the Galois entry points,
+classify_graph) builds one _Budget from its SearchLimits and passes it on
+as the limits of every CSP it runs: each search node, enumeration node and
+k-PH pattern step spends from the one node count against the one absolute
+deadline, and each CSP reports only its own share. A bare solve or
+enumerate_solutions given SearchLimits, or None, gets an allowance of its
+own.
+
 Found maps are re-verified by code that shares no tables with the search:
 each value's preimage is pushed through the base relation one digit at a
 time and must not reach a value the target relation forbids; for arity
@@ -56,6 +64,8 @@ class SearchLimits:
     def __post_init__(self):
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
+        if self.wall_budget is not None and not self.wall_budget > 0:
+            raise ValueError("wall_budget must be > 0")
 
 
 def default_limits():
@@ -430,13 +440,15 @@ def _check_pins_direct(ctx, pins):
 
 
 class _Budget:
-    __slots__ = ("node_budget", "deadline", "nodes", "start", "reason")
+    """The one node and wall allowance of a top-level call: every node its
+    searches expand spends one, against one absolute deadline."""
+
+    __slots__ = ("node_budget", "deadline", "nodes", "reason")
 
     def __init__(self, limits):
         self.node_budget = limits.node_budget
-        self.start = time.monotonic()
-        self.deadline = (self.start + limits.wall_budget
-                         if limits.wall_budget else None)
+        self.deadline = (None if limits.wall_budget is None
+                         else time.monotonic() + limits.wall_budget)
         self.nodes = 0
         self.reason = None
 
@@ -450,9 +462,21 @@ class _Budget:
             return False
         return True
 
-    @property
-    def wall(self):
-        return time.monotonic() - self.start
+    def spent(self):
+        """Whether no node is left."""
+        return self.nodes >= self.node_budget
+
+    def late(self):
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+
+def _allowance(limits):
+    """The allowance to spend: a caller's _Budget itself, else a new one
+    from the SearchLimits, or from default_limits() for None."""
+    if isinstance(limits, _Budget):
+        return limits
+    return _Budget(limits or default_limits())
 
 
 class _Search:
@@ -648,20 +672,17 @@ class _Search:
         return "unsat"
 
 
-def _run(problem, limits, cap=None):
+def _run(problem, budget, cap=None):
     """Search for the first solution, smallest domain first, or (given a
-    cap) for up to cap solutions in lexicographic order. Each one is
-    re-verified. Returns (status, solutions, budget); the budget holds
-    the nodes spent."""
-    limits = limits or default_limits()
+    cap) for up to cap solutions in lexicographic order, spending the
+    _Budget budget. Each solution is re-verified. Returns (status,
+    solutions, nodes, wall): the nodes and seconds this search spent."""
     source, target = _as_power(problem.source), problem.target
     ctx = _context(source.base, source.exponent, target)
     _check_pins_direct(ctx, problem.pins)
-    budget = _Budget(limits)
+    start, before = time.monotonic(), budget.nodes
     found = []
     search = _Search(ctx, problem.pins)
-    if ctx.static_unsat is not None or not search.root_propagate():
-        return "unsat", found, budget
 
     def record():
         assignment = search.extract()
@@ -677,25 +698,32 @@ def _run(problem, limits, cap=None):
         found.append(assignment)
         return cap is not None and len(found) < cap
 
-    status = search.run(budget, cap is not None, record)
-    return status, found, budget
+    status = ("unsat" if ctx.static_unsat is not None
+              or not search.root_propagate()
+              else search.run(budget, cap is not None, record))
+    return status, found, budget.nodes - before, time.monotonic() - start
 
 
 def solve(problem, limits=None):
     """Decide the extension problem. Unsat is reported only on a fully
-    exhausted search; budget exits report exhausted with the reason."""
-    status, found, budget = _run(problem, limits)
+    exhausted search; budget exits report exhausted with the reason.
+    limits is SearchLimits, None for the defaults, or the allowance of
+    the calling top-level search (see the module docstring)."""
+    budget = _allowance(limits)
+    status, found, nodes, wall = _run(problem, budget)
     return Outcome("found" if found else status,
-                   assignment=found[0] if found else None, nodes=budget.nodes,
-                   wall=budget.wall, reason=budget.reason, nvars=problem.nvars)
+                   assignment=found[0] if found else None, nodes=nodes,
+                   wall=wall, nvars=problem.nvars,
+                   reason=budget.reason if status == "exhausted" else None)
 
 
 def enumerate_solutions(problem, cap, limits=None):
     """All homomorphisms extending the pins, lexicographic by variable
-    index, at most cap. Returns (assignments, complete)."""
+    index, at most cap. Returns (assignments, complete). limits as for
+    solve."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    status, found, _ = _run(problem, limits, cap)
+    status, found, _, _ = _run(problem, _allowance(limits), cap)
     return found, status == "unsat"
 
 

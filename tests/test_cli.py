@@ -282,6 +282,21 @@ def test_budget_environment_overrides(monkeypatch):
     assert limits.wall_budget == 3.5
 
 
+def test_zero_or_negative_budgets_are_input_errors(rel, monkeypatch, capsys):
+    path = rel(chain2())
+    for bad in ("0", "-1"):
+        for flag in ("--node-budget", "--wall-budget"):
+            assert main(["decide-ph", flag, bad, path]) == 2, (flag, bad)
+            assert "must be" in capsys.readouterr().err
+        for var in ("POLYHOM_NODE_BUDGET", "POLYHOM_WALL_BUDGET"):
+            monkeypatch.setenv(var, bad)
+            with pytest.raises(ValueError, match="must be"):
+                default_limits()
+            assert main(["decide-ph", path]) == 2, (var, bad)
+            assert "must be" in capsys.readouterr().err
+            monkeypatch.delenv(var)
+
+
 def test_json_output_is_byte_stable(rel, capsys):
     path = rel(chain2())
     argv = ["decide-ph", path, "--json", "--no-timing"]

@@ -10,7 +10,7 @@ from polyhom import (EnvelopeError, FiniteStructure, Relation, SearchLimits,
                      cross_check_inv_pol, enumerate_polymorphisms, extendable,
                      gamma_closure, invariant_relations, is_pp_definable,
                      qf_type_closure, tau_extension_map)
-from polyhom import galois, homogeneity
+from polyhom import galois, homogeneity, search
 from polyhom.galois import QfAtoms, RelationFamily
 from polyhom.generate import all_graphs, all_n2_binary, all_posets
 
@@ -470,69 +470,79 @@ def test_polylocality_skips_images_known_to_be_in_gamma(monkeypatch):
     assert len(calls) < settled
 
 
-def test_galois_entry_points_spend_one_deadline(monkeypatch):
-    # a clock that moves one second per extendable call: each CSP gets
-    # what is left of the call's one 100 s allowance
-    now = [0.0]
-    monkeypatch.setattr(homogeneity, "time",
-                        SimpleNamespace(monotonic=lambda: now[0]))
-    budgets = []
-    real = galois.extendable
-
-    def ticking(structure, f, limits):
-        budgets.append(limits.wall_budget)
-        now[0] += 1
-        return real(structure, f, limits)
-
-    monkeypatch.setattr(galois, "extendable", ticking)
-    limits = SearchLimits(wall_budget=100)
-    # the one arc: Pol^<=2 leaves 12 gamma candidates to extendable
+def _entry_point_calls(structure, limits):
+    # the four Galois entry points; the one arc leaves 12 gamma candidates
+    # to extendable once Pol^<=2 is listed
     arc = FiniteStructure(2, [Relation("r", 2, {(0, 1)})], name="arc2")
-    for call in (lambda: gamma_closure(chain2(), [(0, 1), (1, 0)], limits),
-                 lambda: is_pp_definable(chain2(), [(0, 1), (1, 0)], limits),
-                 lambda: check_finite_polylocal(chain2(), 2, limits),
-                 lambda: cross_check_inv_pol(arc, 2, 2, limits)):
-        budgets.clear()
+    return (lambda: gamma_closure(structure, [(0, 1), (1, 0)], limits),
+            lambda: is_pp_definable(structure, [(0, 1), (1, 0)], limits),
+            lambda: check_finite_polylocal(structure, 1, limits),
+            lambda: cross_check_inv_pol(arc, 2, 2, limits))
+
+
+def _watch_csps(monkeypatch, before, after=None):
+    # call before(limits) and after(limits, result) around every
+    # extendable CSP and every polymorphism enumeration of galois
+    for name in ("extendable", "enumerate_polymorphisms"):
+        def watched(structure, arg, limits, real=getattr(galois, name)):
+            before(limits)
+            out = real(structure, arg, limits)
+            if after:
+                after(limits, out)
+            return out
+        monkeypatch.setattr(galois, name, watched)
+
+
+def test_galois_entry_points_spend_one_deadline(monkeypatch):
+    # a clock that moves one second per CSP: every CSP of a call, the
+    # enumerations among them, sees the one deadline 100 s after its start
+    now = [0.0]
+    monkeypatch.setattr(search, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    deadlines = []
+
+    def tick(limits):
+        deadlines.append(limits.deadline)
+        now[0] += 1
+
+    _watch_csps(monkeypatch, tick)
+    for call in _entry_point_calls(chain2(), SearchLimits(wall_budget=100)):
+        deadlines.clear()
+        now[0] = 0.0
         call()
-        assert len(budgets) >= 2
-        assert budgets == [100 - j for j in range(len(budgets))]
+        assert len(deadlines) >= 2
+        assert deadlines == [100] * len(deadlines)
 
 
 def test_galois_entry_points_spend_one_node_allowance(monkeypatch):
-    # each CSP, the polymorphism enumerations among them, gets the nodes
-    # the earlier CSPs of the call left over
-    seen = []
-    real = galois.extendable
-    real_run = galois._run
+    # every CSP of a call, the polymorphism enumerations among them,
+    # spends from one node count, and an extension CSP reports its own
+    # share of it
+    seen = []  # (allowance, nodes spent before, nodes spent after)
 
-    def counted(structure, f, limits):
-        res = real(structure, f, limits)
-        seen.append((limits.node_budget, res.detail.get("nodes", 0)))
-        return res
+    def before(limits):
+        seen.append((limits, limits.nodes))
 
-    def counted_run(problem, limits, cap):
-        out = real_run(problem, limits, cap)
-        seen.append((limits.node_budget, out[2].nodes))
-        return out
+    def after(limits, out):
+        budget, start = seen[-1]
+        seen[-1] = (budget, start, limits.nodes)
+        if isinstance(out, homogeneity.ExtendResult):
+            assert out.detail.get("nodes", 0) == limits.nodes - start
 
-    monkeypatch.setattr(galois, "extendable", counted)
-    monkeypatch.setattr(galois, "_run", counted_run)
-    limits = SearchLimits(node_budget=10_000)
-    arc = FiniteStructure(2, [Relation("r", 2, {(0, 1)})], name="arc2")
-    for call in (lambda: gamma_closure(bowtie(), [(0, 1), (1, 0)], limits),
-                 lambda: is_pp_definable(bowtie(), [(0, 1), (1, 0)], limits),
-                 lambda: check_finite_polylocal(bowtie(), 1, limits),
-                 lambda: cross_check_inv_pol(arc, 2, 2, limits)):
+    _watch_csps(monkeypatch, before, after)
+    for call in _entry_point_calls(bowtie(), SearchLimits(node_budget=10_000)):
         seen.clear()
         call()
         assert len(seen) >= 2
-        spent = itertools.accumulate((nodes for _, nodes in seen), initial=0)
-        assert [budget for budget, _ in seen] == [
-            10_000 - s for s, _ in zip(spent, seen)]
+        assert len({id(b) for b, _, _ in seen}) == 1
+        assert isinstance(seen[0][0], search._Budget)
+        assert seen[0][0].node_budget == 10_000
+        spent = [0] + [end for _, _, end in seen]
+        assert [start for _, start, _ in seen] == spent[:-1]
     # Pol^1 and Pol^2 were listed first, and spent nodes of their own
-    assert seen[0][1] + seen[1][1] > 0
+    assert seen[1][2] > 0
     # 16 solves of at most 12 nodes each, 60 in all
-    monkeypatch.setattr(galois, "extendable", real)
+    monkeypatch.undo()
     assert gamma_closure(bowtie(), [(0, 1), (1, 0)],
                          SearchLimits(node_budget=60)) == gamma_closure(
                              bowtie(), [(0, 1), (1, 0)])

@@ -535,6 +535,23 @@ def test_decide_ph_spends_one_node_allowance():
     assert decide_ph(diamond()).status == "PH"
 
 
+def test_decide_ph_reports_each_csps_own_nodes():
+    # every CSP of a call spends one allowance, but its detail["nodes"] is
+    # its own share: a larger allowance changes none of them, and a sweep
+    # refutation after a 6-node near-unanimity probe reports 0, the nodes
+    # of its own CSP run alone
+    v = decide_ph(diamond())
+    assert decide_ph(diamond(), SearchLimits(node_budget=10 ** 6)).to_json() \
+        == v.to_json()
+    g = all_graphs(3)[1]  # one edge and an isolated vertex
+    v = decide_ph(g)
+    assert v.trace[0]["detail"]["nodes"] == 6
+    assert v.certificate["kind"] == "non_extendable_map"
+    f = PartialOpMap.from_json(v.certificate["map"])
+    assert v.certificate["evidence"]["nodes"] == \
+        extendable(g, f).detail["nodes"] == 0
+
+
 def test_decide_ph_envelope_guidance_on_large_poset():
     # N5 is PH (see the known verdicts), but with a one-node budget no
     # certificate can be built; the guidance names the budgets and points

@@ -195,6 +195,16 @@ def test_budget_exhaustion_is_distinct_status():
     assert out.exhausted and out.reason == "wall_budget"
 
 
+def test_budgets_must_be_positive():
+    # a zero wall budget used to mean "unbounded" and a negative one "stop
+    # at once"; both are rejected now, like a node budget below 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="wall_budget"):
+            SearchLimits(wall_budget=bad)
+        with pytest.raises(ValueError, match="node_budget"):
+            SearchLimits(node_budget=bad)
+
+
 def test_inconsistent_pins_rejected():
     A = chain2()
     with pytest.raises(InconsistentPinsError):
