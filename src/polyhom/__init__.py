@@ -35,7 +35,7 @@ from .classify import (ClassReport, recognize_family, classify_graph,
                        partition_meet, partition_join,
                        enumerate_meet_complete_sublattices, is_arithmetical,
                        structure_partitions, classify_eq_lattice,
-                       escalating_counterexample, kaarli_cross_check,
+                       kaarli_cross_check,
                        classify_structure)
 
 __version__ = "0.1.0"

@@ -6,11 +6,14 @@ they are antichains or lattices; finite strict posets exactly when the
 order is empty; structures carrying a meet-complete sublattice of
 equivalence relations exactly when that lattice is arithmetical (all pairs
 permute and the lattice is distributive). Each NotPH classification is
-backed, where the family admits a uniform construction, by an explicit
-partial map that provably fails to extend, re-verified through the
-extension engine. These classifiers serve as independent oracles for the
-generic decision procedure. The meet-complete lattices of partitions are
-listed by galois.closed_sets, as the invariant relations of meet and join.
+backed by an explicit partial map that provably fails to extend: where
+the family admits a uniform construction, that map, re-verified through
+the extension engine; otherwise (posets without a pair witness, complete
+graphs past the star witness's reach) the refuting map of decide_ph's
+certificate. The classifiers' verdicts serve as independent oracles for
+the generic decision procedure. The meet-complete lattices of partitions
+are listed by galois.closed_sets, as the invariant relations of meet and
+join.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ from .structures import (FAMILY_AXIOMS, EnvelopeError, PartialOpMap,
                          StructureError, broken_axiom, canonical_structure,
                          check_family, partition_pairs, shared_tuple)
 from .search import _allowance
-from .homogeneity import (FunctionTable, canonical_partial_nu, extendable,
-                          is_partial_polymorphism)
+from .homogeneity import FunctionTable, decide_ph, extendable
 from .galois import _walk_points, invariant_relations
-
-ESCALATION_MAX_ARITY = 3
-ESCALATION_MAX_DOMAIN = 4
 
 
 @dataclass(slots=True)
@@ -97,6 +96,20 @@ def _refuted(structure, f, what, limits):
     if not res.not_extendable:
         raise RuntimeError("internal error: %s unexpectedly %s"
                            % (what, res.status))
+    return (f.arity, f)
+
+
+def _engine_witness(structure, budget):
+    """(arity, f) for the map of decide_ph's NotPH certificate, or None
+    when decide_ph is Inconclusive within the budget; raises RuntimeError
+    when it says PH for a structure its family classifies NotPH."""
+    verdict = decide_ph(structure, budget)
+    if verdict.status == "PH":
+        raise RuntimeError("internal error: decide_ph says PH for %s"
+                           % structure.name)
+    if verdict.status == "Inconclusive":
+        return None
+    f = PartialOpMap.from_json(verdict.certificate["map"])
     return (f.arity, f)
 
 
@@ -197,20 +210,9 @@ def _isolated_vertex_witness(structure, nbrs, limits):
                     "isolated-vertex witness", limits)
 
 
-def _no_majority_witness(structure, limits):
-    """The map every majority operation extends, when it is a partial
-    polymorphism that does not extend: then the graph has no majority
-    polymorphism. Returns (3, map) or None."""
-    f = canonical_partial_nu(structure, 3)
-    ok, _ = is_partial_polymorphism(structure, f)
-    if ok and extendable(structure, f, limits).not_extendable:
-        return (3, f)
-    return None
-
-
 def classify_graph(structure, limits=None, with_witness=True):
     """PH exactly when the edge set is empty or every connected component
-    is a single edge. The witness CSPs it chains (star, no majority,
+    is a single edge. The witness CSPs it chains (star, decide_ph,
     isolated vertex) spend one node and wall allowance (search._Budget),
     built from limits."""
     limits = _allowance(limits)
@@ -233,8 +235,9 @@ def classify_graph(structure, limits=None, with_witness=True):
             got = graph_star_witness(structure, limits)
         except EnvelopeError:
             # the star witness's extension CSP is out of reach (K7: arity
-            # 8, 7^8 variables past search.MAX_CSP_VARS)
-            got = _no_majority_witness(structure, limits)
+            # 8, 7^8 variables past search.MAX_CSP_VARS); decide_ph refutes
+            # it with its first probe, for a majority polymorphism
+            got = _engine_witness(structure, limits)
             if got is None:
                 raise
         if got is None:
@@ -293,7 +296,12 @@ def poset_pair_witness(structure, limits=None):
 
 
 def classify_poset(structure, limits=None, with_witness=True):
-    """PH exactly when the order is an antichain or a lattice."""
+    """PH exactly when the order is an antichain or a lattice. The NotPH
+    witness is the pair witness, else the map of decide_ph's certificate;
+    both spend one node and wall allowance (search._Budget), built from
+    limits, and the witness is None when decide_ph is Inconclusive
+    within it."""
+    limits = _allowance(limits)
     le = _family_pairs(structure, "poset")
     n = structure.size
     antichain = all(a == b for a, b in le)
@@ -325,7 +333,7 @@ def classify_poset(structure, limits=None, with_witness=True):
     if with_witness:
         got = poset_pair_witness(structure, limits)
         if got is None:
-            got = escalating_counterexample(structure, limits=limits)
+            got = _engine_witness(structure, limits)
         if got is not None:
             arity, witness = got
     return ClassReport("poset", "NotPH", reasons, witness, arity)
@@ -350,7 +358,9 @@ def strict_poset_witness(structure, limits=None):
 def classify_strict_poset(structure, limits=None, with_witness=True):
     """PH exactly when the strict order is empty: any nonempty finite
     strict order has a minimal element a below some b, and mapping b to a
-    is a partial polymorphism with no extension."""
+    is a partial polymorphism with no extension. The witness CSP spends
+    one node and wall allowance (search._Budget), built from limits."""
+    limits = _allowance(limits)
     lt = _family_pairs(structure, "strict_poset")
     reasons = {"is_empty_order": not lt,
                "finite_collapse": bool(lt)}
@@ -511,27 +521,6 @@ def classify_eq_lattice(structure, limits=None):
     return ClassReport("eq_lattice", verdict, reasons)
 
 
-def escalating_counterexample(structure, limits=None):
-    """Scan partial maps in canonical order (arity, domain size, domain,
-    values) for a partial polymorphism with an unsatisfiable extension
-    problem, up to ESCALATION_MAX_ARITY and ESCALATION_MAX_DOMAIN domain
-    rows. Returns (arity, map) or None."""
-    n = structure.size
-    for k in range(1, ESCALATION_MAX_ARITY + 1):
-        points = sorted(itertools.product(range(n), repeat=k))
-        for dsize in range(1, ESCALATION_MAX_DOMAIN + 1):
-            for domain in itertools.combinations(points, dsize):
-                for values in itertools.product(range(n), repeat=dsize):
-                    f = PartialOpMap(k, n, tuple(zip(domain, values)))
-                    ok, _ = is_partial_polymorphism(structure, f)
-                    if not ok:
-                        continue
-                    res = extendable(structure, f, limits)
-                    if res.not_extendable:
-                        return (k, f)
-    return None
-
-
 def kaarli_cross_check(n, limits=None):
     """Compare is_arithmetical with polymorphism-homogeneity over every
     meet-complete sublattice of the partition lattice on n points, by
@@ -540,7 +529,6 @@ def kaarli_cross_check(n, limits=None):
     inconclusive when decide_ph hits search.MAX_CSP_VARS, another cap or
     the budget.
     """
-    from .homogeneity import decide_ph
     families = enumerate_meet_complete_sublattices(n)
     rows = []
     agreements = 0

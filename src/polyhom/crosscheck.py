@@ -10,8 +10,8 @@ canonical order.
 from __future__ import annotations
 
 from .structures import PartialOpMap, canonical_structure, power
-from .classify import (classify_structure, escalating_counterexample,
-                       is_arithmetical, kaarli_cross_check)
+from .classify import (classify_structure, is_arithmetical,
+                       kaarli_cross_check)
 from .homogeneity import (FunctionTable, canonical_partial_nu, decide_ph,
                           extendable, is_k_ph, is_partial_polymorphism)
 from .search import default_limits
@@ -90,8 +90,7 @@ def verify_certificate(structure, verdict_json, limits=None):
         ok = structure.size == 1
         checks.append({"check": "one_element_carrier", "ok": ok})
     elif kind in ("no_near_unanimity", "non_extendable_map"):
-        raw = cert.get("map") or cert.get("partial_map")
-        f = PartialOpMap.from_json(raw)
+        f = PartialOpMap.from_json(cert["map"])
         ok1, _ = is_partial_polymorphism(structure, f)
         checks.append({"check": "is_partial_polymorphism", "ok": ok1})
         res = extendable(structure, f, limits)
@@ -218,14 +217,14 @@ def _kaarli_rows(limits):
                  "witness": wit, "agree": arith is False
                  and wit is not None and wit["kind"] == "distributivity"})
     A = m3_structure()
-    found = escalating_counterexample(A, limits=limits)
-    if found is None:
+    verdict = decide_ph(A, limits)
+    if verdict.status != "NotPH":
         rows.append({"check": "m3_counterexample", "agree": False})
     else:
-        k, f = found
+        f = PartialOpMap.from_json(verdict.certificate["map"])
         ok1, _ = is_partial_polymorphism(A, f)
         res = extendable(A, f, limits)
-        rows.append({"check": "m3_counterexample", "arity": k,
+        rows.append({"check": "m3_counterexample", "arity": f.arity,
                      "map": f.to_json(),
                      "agree": ok1 and res.not_extendable})
     return rows

@@ -623,7 +623,7 @@ def decide_ph(structure, limits=None):
                                  if k != "violation"}})
         if nu.not_extendable:
             cert = {"kind": "no_near_unanimity", "arity": nu_arity,
-                    "partial_map": nu_partial.to_json(),
+                    "map": nu_partial.to_json(),
                     "evidence": nu.detail}
             return Verdict("NotPH", certificate=cert, trace=trace)
         if nu.exhausted:

@@ -11,7 +11,7 @@ from polyhom import (FiniteStructure, InconsistentPinsError, PartialOpMap,
                      classify_graph, classify_strict_poset,
                      cross_check_inv_pol, decide_ph, default_limits,
                      enumerate_polymorphisms, enumerate_solutions,
-                     escalating_counterexample, extendable, gamma_closure,
+                     extendable, gamma_closure,
                      graph_property_star, graph_star_witness,
                      is_arithmetical, is_hom_homogeneous, is_k_ph,
                      is_partial_polymorphism, is_pp_definable,
@@ -266,11 +266,11 @@ def test_partition_sublattice_table_matches_decision_pipeline():
     assert witness["kind"] == "distributivity"
     m3 = canonical_structure("eq_lattice", 4, m3_partitions(), name="m3")
     t1 = time.monotonic()
-    got = escalating_counterexample(m3)
-    assert got is not None
-    arity, f = got
-    assert isinstance(arity, int) and 1 <= arity <= 3
-    assert f.arity == arity
+    verdict = decide_ph(m3)
+    assert verdict.status == "NotPH"
+    f = PartialOpMap.from_json(verdict.certificate["map"])
+    assert f.arity == 3
+    assert oracle_is_partial_polymorphism(m3, dict(f.entries), 3)
     assert_refutation(m3, f)
     assert time.monotonic() - t1 < 600
 
@@ -370,7 +370,7 @@ def test_engine_agrees_with_exhaustive_enumeration_and_certs_reverify():
             continue
         cert = verdict.certificate
         assert cert["kind"] in ("no_near_unanimity", "non_extendable_map")
-        f = PartialOpMap.from_json(cert.get("map") or cert["partial_map"])
+        f = PartialOpMap.from_json(cert["map"])
         ok, _ = is_partial_polymorphism(structure, f)
         assert ok
         assert oracle_is_partial_polymorphism(structure, dict(f.entries),

@@ -4,18 +4,18 @@ import itertools
 
 import pytest
 
-from polyhom import (EnvelopeError, FiniteStructure, Relation, StructureError,
-                     canonical_structure, classify_eq_lattice, classify_graph,
-                     classify_poset, classify_strict_poset, classify_structure,
-                     decide_ph, enumerate_meet_complete_sublattices,
-                     escalating_counterexample, extendable,
+from polyhom import (EnvelopeError, FiniteStructure, PartialOpMap, Relation,
+                     SearchLimits, StructureError, canonical_structure,
+                     classify_eq_lattice, classify_graph, classify_poset,
+                     classify_strict_poset, classify_structure, decide_ph,
+                     enumerate_meet_complete_sublattices, extendable,
                      graph_property_star, graph_star_witness, is_arithmetical,
                      is_partial_polymorphism, kaarli_cross_check,
                      pairs_to_partition, partition_join, partition_meet,
                      partition_pairs, partitions_of, poset_is_lattice,
                      poset_pair_witness, recognize_family,
                      strict_poset_witness)
-from polyhom import classify
+from polyhom import classify, homogeneity, search
 from polyhom.generate import (all_graphs, all_posets, all_strict_posets)
 
 from oracles import oracle_families, oracle_is_partial_polymorphism
@@ -266,6 +266,44 @@ def test_generic_decision_matches_every_classifier_on_four_points():
             verdict = decide_ph(A)
             assert verdict.status == classify(A, with_witness=False).verdict, \
                 A.name
+    # and every NotPH poset comes with a verified witness: the pair
+    # witness, or the map of decide_ph's certificate
+    for A in all_posets(4):
+        report = classify_poset(A)
+        if not report.is_ph:
+            assert report.witness is not None, A.name
+            assert_verified_witness(A, report.witness_arity, report.witness)
+
+
+def test_poset_classifiers_spend_one_node_allowance(monkeypatch):
+    # every CSP of one classify_poset or classify_strict_poset call, its
+    # witnesses and decide_ph among them, spends from one node count
+    seen = []
+
+    def watched(problem, limits, real=homogeneity.solve):
+        seen.append(limits)
+        return real(problem, limits)
+
+    monkeypatch.setattr(homogeneity, "solve", watched)
+    # a chain beside two points: no pair witness, so decide_ph is asked
+    poset = canonical_structure(
+        "poset", 4, [(i, i) for i in range(4)] + [(2, 3)], name="poset4_0256")
+    chain = canonical_structure("strict_poset", 3, [(0, 1), (1, 2), (0, 2)],
+                                name="strict_chain3")
+    for classify_, A in ((classify_poset, poset),
+                         (classify_strict_poset, chain)):
+        seen.clear()
+        report = classify_(A, SearchLimits(node_budget=5))
+        assert report.verdict == "NotPH"
+        assert seen
+        assert len({id(b) for b in seen}) == 1
+        budget = seen[0]
+        assert isinstance(budget, search._Budget)
+        assert budget.node_budget == 5
+        # nodes also counts the one spend the allowance refused
+        assert budget.nodes - (budget.reason == "node_budget") <= 5
+        if report.witness is not None:
+            assert_verified_witness(A, report.witness_arity, report.witness)
 
 
 def test_strict_poset_witness_maps_into_a_minimal_element():
@@ -404,12 +442,15 @@ def test_classify_eq_lattice_requires_meet_join_closure():
         classify_eq_lattice(bad)
 
 
-def test_escalation_refutes_the_m3_lattice_at_arity_two():
-    got = escalating_counterexample(m3_structure())
-    assert got is not None
-    arity, f = got
-    assert arity == 2
-    assert_verified_witness(m3_structure(), 2, f)
+def test_decide_ph_refutes_the_m3_lattice_by_its_partial_majority_map():
+    # M3 has no majority polymorphism: the canonical partial majority
+    # map, a 3-ary partial polymorphism, does not extend
+    m3 = m3_structure()
+    verdict = decide_ph(m3)
+    assert verdict.status == "NotPH"
+    assert verdict.certificate["kind"] == "no_near_unanimity"
+    f = PartialOpMap.from_json(verdict.certificate["map"])
+    assert_verified_witness(m3, 3, f)
 
 
 def test_kaarli_cross_check_is_exact_up_to_three_points():

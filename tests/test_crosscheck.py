@@ -56,12 +56,9 @@ def test_certificates_verify_for_definite_verdicts():
 def test_tampered_refutation_map_is_rejected():
     verdict = decide_ph(path3()).to_json()
     assert verdict["status"] == "NotPH"
-    cert = verdict["certificate"]
-    raw = cert.get("map") or cert.get("partial_map")
     # a damaged entry must break one of the two independent checks
     tampered = copy.deepcopy(verdict)
-    raw2 = (tampered["certificate"].get("map")
-            or tampered["certificate"].get("partial_map"))
+    raw2 = tampered["certificate"]["map"]
     args, val = raw2["entries"][0]
     raw2["entries"][0] = [args, (val + 1) % path3().size]
     res = verify_certificate(path3(), tampered)

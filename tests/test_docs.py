@@ -1,10 +1,13 @@
 """Promises the README makes about the code."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "polyhom"
 # `module.NAME` = value, the value written as 4096, 2,000,000 or 2^20
 NAMED_VALUE = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = ([\d,]+(?:\^\d+)?)")
 CAP_MODULES = ("search", "structures", "homogeneity", "galois", "classify")
@@ -35,3 +38,28 @@ def test_readme_budget_caps_match_the_code():
                                re.M):
             if name.startswith("MAX_") or name.endswith("_CAP"):
                 assert (module, name) in listed, (module, name)
+
+
+def _allowance_callers():
+    """Every function of the package that calls search._allowance."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "_allowance"
+                    for call in ast.walk(node)):
+                callers.add(node.name)
+    return callers
+
+
+def test_readme_budgets_name_every_call_that_owns_an_allowance():
+    section = " ".join(_budgets_section().split())
+    top = re.search(r"The calls are (.*?)\.", section).group(1)
+    bare = re.search(r"A bare (.*?) keeps its own allowance",
+                     section).group(1)
+    listed = set(re.findall(r"`(\w+)`", top + bare))
+    callers = _allowance_callers()
+    assert len(callers) >= 10
+    assert callers <= listed, sorted(callers - listed)
