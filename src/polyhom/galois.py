@@ -235,8 +235,9 @@ class QfAtoms:
 def qf_type_closure(structure, tau):
     """Candidate images of tau permitted by quantifier-free atomic types.
 
-    tau is a nonempty set of m-tuples. A tuple b qualifies when it satisfies
-    every atom that all of tau satisfies: for every relation and every
+    tau is a nonempty set of m-tuples over the carrier; a value outside
+    it raises StructureError. A tuple b qualifies when it satisfies every
+    atom that all of tau satisfies: for every relation and every
     coordinate selection under which all of tau lands in the relation, b
     lands in it too; and b_i = b_j whenever coordinates i and j agree
     across all of tau. Computed as QfAtoms.closure of the AND of the
@@ -252,6 +253,7 @@ def qf_type_closure(structure, tau):
     atoms = QfAtoms(structure, m)
     mask = -1
     for t in tau:
+        _code(t, structure.size)  # checks the carrier
         mask &= atoms.atom_mask(t)
     return atoms.decode(atoms.closure(mask))
 

@@ -260,11 +260,7 @@ def find_nu_polymorphism(structure, r, limits=None):
     of the canonical partial map: extendable re-verifies that a witness
     extends that map, so a witness is near-unanimity. Reports the
     partial-polymorphism check in the detail either way."""
-    return _probe_nu(structure, canonical_partial_nu(structure, r), limits)
-
-
-def _probe_nu(structure, f, limits):
-    """find_nu_polymorphism on the canonical partial map f."""
+    f = canonical_partial_nu(structure, r)
     res = extendable(structure, f, limits)
     res.detail["partial_map_entries"] = len(f.entries)
     res.detail["nu_arity"] = f.arity
@@ -414,9 +410,7 @@ def _merge_patterns(structure, k, x, per_value, idx, acc, budget):
     if not budget.spend():
         raise _SearchBudget()
     if idx == len(per_value):
-        f = PartialOpMap(k, structure.size, tuple(acc.items()))
-        ok, _ = is_partial_polymorphism(structure, f)
-        return dict(acc) if ok else None
+        return dict(acc)  # the step into this call checked acc
     _, pats = per_value[idx]
     for q in pats:
         add = []
@@ -609,9 +603,8 @@ def decide_ph(structure, limits=None):
                        trace=[{"step": "singleton"}])
     d = max(2, structure.max_arity)
     nu_arity = d + 1
-    nu_partial = canonical_partial_nu(structure, nu_arity)
     try:
-        nu = _probe_nu(structure, nu_partial, budget)
+        nu = find_nu_polymorphism(structure, nu_arity, budget)
     except EnvelopeError as e:
         nu = None
         _record_block(blocked, {"step": "nu", "arity": nu_arity,
@@ -623,7 +616,8 @@ def decide_ph(structure, limits=None):
                                  if k != "violation"}})
         if nu.not_extendable:
             cert = {"kind": "no_near_unanimity", "arity": nu_arity,
-                    "map": nu_partial.to_json(),
+                    "map": canonical_partial_nu(structure,
+                                                nu_arity).to_json(),
                     "evidence": nu.detail}
             return Verdict("NotPH", certificate=cert, trace=trace)
         if nu.exhausted:

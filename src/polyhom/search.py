@@ -27,6 +27,11 @@ deadline, and each CSP reports only its own share. A bare solve or
 enumerate_solutions given SearchLimits, or None, gets an allowance of its
 own.
 
+Pins are applied to the domains before root propagation, so pins that
+contradict a constraint are refuted like any other dead end: solve
+answers unsat after 0 nodes, and enumerate_solutions returns ([], True).
+InconsistentPinsError means malformed pins only.
+
 Found maps are re-verified by code that shares no tables with the search:
 each value's preimage is pushed through the base relation one digit at a
 time and must not reach a value the target relation forbids; for arity
@@ -53,7 +58,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class InconsistentPinsError(ValueError):
-    """Pins are malformed or directly violate a fully pinned constraint."""
+    """Pins are malformed: not a (variable, value) pair, outside a carrier,
+    or one variable pinned to two values. Pins that merely contradict a
+    constraint are not an error: the search answers unsat."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,6 @@ class Outcome:
     status: str
     assignment: dict = None
     nodes: int = 0
-    wall: float = 0.0
     reason: str = None  # for exhausted: node_budget | wall_budget
     nvars: int = 0
 
@@ -199,10 +205,9 @@ def _value_planes(mapping, nvars, nt):
 class _BinaryConstraint:
     """One binary relation: base adjacency and target support masks."""
 
-    __slots__ = ("name", "succ", "pred", "row_allow", "col_allow")
+    __slots__ = ("succ", "pred", "row_allow", "col_allow")
 
-    def __init__(self, name, base_rel, target_rel, n_base, n_target):
-        self.name = name
+    def __init__(self, base_rel, target_rel, n_base, n_target):
         self.succ = [[] for _ in range(n_base)]
         self.pred = [[] for _ in range(n_base)]
         for a, b in sorted(base_rel.tuples):
@@ -258,9 +263,8 @@ class _Context:
         n = base.size
         everything = self.all_vars = (1 << nvars) - 1
         cyl = _cylinders(n, exponent)
-        self.static_unsat = None
+        self.static_unsat = False
         self.binary = []
-        self.unary = []  # (name, member vars, allowed target values)
         self.high = []
         # per-binary-constraint neighbour sets: out_ind[ci][j][a] holds the
         # codes whose digit j is a base-successor of a, so the successors
@@ -280,20 +284,14 @@ class _Context:
                 continue  # no source constraints
             if len(trel.tuples) == self.nt ** rel.arity:
                 continue  # target relation is full: vacuous
-            if rel.arity == 1:
-                tmask = 0
-                for (b,) in trel.tuples:
-                    tmask |= 1 << b
-                member = _within(cyl, everything, [a for (a,) in rel.tuples])
-                self.unary.append((rel.name, member, tmask))
             if not trel.tuples:
-                self.static_unsat = ("relation %s is empty in the target but "
-                                     "nonempty in the source" % rel.name)
+                self.static_unsat = True  # a source tuple has no image
                 continue
             if rel.arity == 1:
-                prune(member, tmask)
+                prune(_within(cyl, everything, [a for (a,) in rel.tuples]),
+                      _union(1 << b for (b,) in trel.tuples))
             elif rel.arity == 2:
-                con = _BinaryConstraint(rel.name, rel, trel, n, self.nt)
+                con = _BinaryConstraint(rel, trel, n, self.nt)
                 self.binary.append(con)
                 self.out_ind.append(
                     [[_within([row], everything, con.succ[a]) for a in range(n)]
@@ -315,15 +313,10 @@ class _Context:
                     if allowed != self.full_mask:
                         prune(_within(cyl, everything, elements), allowed)
             else:
-                self.high.append((rel.name, rel.arity, rel.tuples,
-                                  trel.tuples))
+                self.high.append((rel.arity, rel.tuples, trel.tuples))
 
         self.cyl = cyl if self.high else None
         self.initial_planes = tuple(planes)
-        empty = everything & ~_union(planes)
-        if self.static_unsat is None and empty:
-            self.static_unsat = ("variable %d has no admissible value"
-                                 % _lowest(empty))
 
     def decode(self, code):
         n = self.base.size
@@ -347,9 +340,9 @@ class _Context:
         fixed in turn to a code of its pool (pools[i][b]: the codes of
         value b); the last one's codes of each value are pushed, digit by
         digit, through the slice of R the fixed codes leave. Yields
-        (fixed, allowed, x): the codes x reached at the free positions and
-        the target values allowed there, when that is not every value.
-        fixed holds (position, code, digits, value) entries."""
+        (allowed, x): the codes x reached at the free positions and the
+        target values allowed there, when that is not every value. fixed
+        holds (position, code, digits, value) entries."""
         k, n = self.exponent, self.base.size
 
         def succs(fixed, s, free):
@@ -373,7 +366,7 @@ class _Context:
         for b, pool in enumerate(pools[0]):
             allowed = _union(1 << c for c in target.get(b, ()))
             if pool and allowed != self.full_mask:
-                yield fixed, allowed, _push(pool, through, self.cyl, n, k)
+                yield allowed, _push(pool, through, self.cyl, n, k)
 
 
 # a context holds two neighbour sets of n^k bits per digit, base element
@@ -387,56 +380,6 @@ def _context(base, exponent, target):
 def _as_power(source):
     """The source as a power; an explicit structure is its own first power."""
     return source if isinstance(source, PowerHandle) else PowerHandle(source, 1)
-
-
-def _pin_planes(pins, nt):
-    """by_value[b]: the variables pinned to b."""
-    by_value = [0] * nt
-    for var, val in pins:
-        by_value[val] |= 1 << var
-    return by_value
-
-
-def _check_pins_direct(ctx, pins):
-    """Reject pins that violate a constraint all of whose variables are
-    pinned; raised before any search is attempted."""
-    pinned = dict(pins)
-    by_value = _pin_planes(pins, ctx.nt)
-
-    def pinned_outside(allowed):
-        return _union(by_value[b] for b in _bits(ctx.full_mask & ~allowed))
-
-    for ci, con in enumerate(ctx.binary):
-        for u, a in pins:
-            off = pinned_outside(con.row_allow[a])
-            if off:
-                hit = ctx.neighbours(u, ci, True) & off
-                if hit:
-                    v = _lowest(hit)
-                    raise InconsistentPinsError(
-                        "pins map source %s-edge (%d,%d) to non-edge (%d,%d)"
-                        % (con.name, u, v, a, pinned[v]))
-    for name, member, tmask in ctx.unary:
-        hit = member & pinned_outside(tmask)
-        if hit:
-            u = _lowest(hit)
-            raise InconsistentPinsError(
-                "pin %d->%d violates unary relation %s" % (u, pinned[u], name))
-    for name, r, rel, trel in ctx.high:
-        # each pinned code w at position r - 2, pushed into position r - 1
-        for w, b in pins:
-            solo = [p & 1 << w for p in by_value]
-            for fixed, allowed, x in ctx.leaves(
-                    rel, trel, tuple(range(r - 1)), (r - 1,),
-                    [by_value] * (r - 2) + [solo]):
-                hit = x & pinned_outside(allowed)
-                if hit:
-                    v = _lowest(hit)
-                    raise InconsistentPinsError(
-                        "pins map source %s-tuple %r to %r outside the "
-                        "target relation" % (
-                            name, tuple(f[1] for f in fixed) + (w, v),
-                            tuple(f[3] for f in fixed) + (b, pinned[v])))
 
 
 class _Budget:
@@ -486,7 +429,11 @@ class _Search:
         self.trail = []
         self.queue = 0  # variables whose domain shrank since last revised
         self.singles = 0  # variables that became singletons
-        by_value = _pin_planes(pins, ctx.nt)
+        # a pinned variable keeps only its value: if the static prunes
+        # removed it, the domain is empty and root_propagate fails
+        by_value = [0] * ctx.nt
+        for var, val in pins:
+            by_value[val] |= 1 << var
         pinned = _union(by_value)
         for b in range(ctx.nt):
             self.planes[b] &= ~(pinned ^ by_value[b])
@@ -553,7 +500,7 @@ class _Search:
         two = self._at_least_two()[1]
         singles = [p & ~two for p in self.planes]  # singletons, by value
         mine = [p & 1 << v for p in self.planes]
-        for _, r, rel, trel in self.ctx.high:
+        for r, rel, trel in self.ctx.high:
             for p in range(r):
                 # v at p; the other positions split, by the bits of split,
                 # into the free ones, which hold one variable, and the rest
@@ -562,7 +509,7 @@ class _Search:
                     free = tuple(q for i, q in enumerate(others)
                                  if split >> i & 1)
                     rest = tuple(q for q in others if q not in free)
-                    for _, allowed, x in self.ctx.leaves(
+                    for allowed, x in self.ctx.leaves(
                             rel, trel, (p,) + rest, free,
                             [mine] + [singles] * len(rest)):
                         if not self._revise(x, allowed):
@@ -676,11 +623,10 @@ def _run(problem, budget, cap=None):
     """Search for the first solution, smallest domain first, or (given a
     cap) for up to cap solutions in lexicographic order, spending the
     _Budget budget. Each solution is re-verified. Returns (status,
-    solutions, nodes, wall): the nodes and seconds this search spent."""
+    solutions, nodes): the nodes this search spent."""
     source, target = _as_power(problem.source), problem.target
     ctx = _context(source.base, source.exponent, target)
-    _check_pins_direct(ctx, problem.pins)
-    start, before = time.monotonic(), budget.nodes
+    before = budget.nodes
     found = []
     search = _Search(ctx, problem.pins)
 
@@ -698,10 +644,9 @@ def _run(problem, budget, cap=None):
         found.append(assignment)
         return cap is not None and len(found) < cap
 
-    status = ("unsat" if ctx.static_unsat is not None
-              or not search.root_propagate()
+    status = ("unsat" if ctx.static_unsat or not search.root_propagate()
               else search.run(budget, cap is not None, record))
-    return status, found, budget.nodes - before, time.monotonic() - start
+    return status, found, budget.nodes - before
 
 
 def solve(problem, limits=None):
@@ -710,10 +655,10 @@ def solve(problem, limits=None):
     limits is SearchLimits, None for the defaults, or the allowance of
     the calling top-level search (see the module docstring)."""
     budget = _allowance(limits)
-    status, found, nodes, wall = _run(problem, budget)
+    status, found, nodes = _run(problem, budget)
     return Outcome("found" if found else status,
-                   assignment=found[0] if found else None, nodes=nodes,
-                   wall=wall, nvars=problem.nvars,
+                   assignment=found[0] if found else None,
+                   nodes=nodes, nvars=problem.nvars,
                    reason=budget.reason if status == "exhausted" else None)
 
 
@@ -723,7 +668,7 @@ def enumerate_solutions(problem, cap, limits=None):
     solve."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    status, found, _, _ = _run(problem, _allowance(limits), cap)
+    status, found, _ = _run(problem, _allowance(limits), cap)
     return found, status == "unsat"
 
 

@@ -185,6 +185,14 @@ def test_qf_type_closure_input_errors():
         qf_type_closure(chain2(), [tuple([0] * 21)])
 
 
+def test_points_outside_the_carrier_are_rejected():
+    # such a point satisfies no atom, so nothing would bound its closure
+    for tau in ([(0, 5)], [(0, -1)], [(0, 1), (2, 0)]):
+        for closure in (qf_type_closure, gamma_closure, is_pp_definable):
+            with pytest.raises(StructureError, match="point space"):
+                closure(chain2(), tau)
+
+
 # ------------------------------------------------------------- image closure
 
 def test_gamma_closure_known_values():

@@ -138,11 +138,7 @@ def test_power_source_solves():
                         for _ in range(npins)}
                 brute = sorted(oracle_homomorphisms(P, T, pins))
                 prob = ExtensionProblem(h, T, pins)
-                try:
-                    sols, complete = enumerate_solutions(prob, cap=100_000)
-                except InconsistentPinsError:
-                    assert not brute
-                    continue
+                sols, complete = enumerate_solutions(prob, cap=100_000)
                 assert complete
                 assert sorted(tuple(s[i] for i in range(h.size))
                               for s in sols) == brute
@@ -175,11 +171,7 @@ def test_unsat_monotone_under_added_pins():
                 stronger = ExtensionProblem(
                     prob.source, prob.target,
                     prob.pins + ((var, val),))
-                try:
-                    out2 = solve(stronger, limits)
-                except InconsistentPinsError:
-                    continue
-                assert out2.unsat
+                assert solve(stronger, limits).unsat
             break
 
 
@@ -228,13 +220,29 @@ def test_check_is_homomorphism_flags_violations():
     assert ok and not violations
 
 
-def test_pins_on_related_power_codes_name_the_edge():
+def test_pins_on_related_power_codes_are_unsat_at_the_root():
+    # contradictory pins are no error: root propagation refutes them
     A = chain2()
     h = power(A, 2)
     u, v = h.encode((0, 0)), h.encode((1, 1))  # related digit by digit
-    with pytest.raises(InconsistentPinsError) as e:
-        solve(ExtensionProblem(h, A, {u: 1, v: 0}))
-    assert str(e.value) == "pins map source le-edge (0,3) to non-edge (1,0)"
+    problem = ExtensionProblem(h, A, {u: 1, v: 0})
+    out = solve(problem)
+    assert out.unsat and out.nodes == 0
+    assert enumerate_solutions(problem, cap=10) == ([], True)
+
+
+def test_pins_on_a_violated_ternary_tuple_are_unsat_at_the_root():
+    A = FiniteStructure(4, (Relation("r", 3, {(0, 1, 2), (1, 2, 3)}),))
+    T = FiniteStructure(2, (Relation("r", 3, {(0, 0, 1), (0, 1, 1),
+                                              (1, 1, 1)}),))
+    for k in (1, 2):
+        h = power(A, k)
+        x, y, z = (h.encode((a,) * k) for a in range(3))  # an R^k tuple
+        assert solve(ExtensionProblem(h, T)).found
+        problem = ExtensionProblem(h, T, {x: 1, y: 0, z: 0})
+        out = solve(problem)
+        assert out.unsat and out.nodes == 0
+        assert enumerate_solutions(problem, cap=10) == ([], True)
 
 
 def _random_structure(rng, n, arities):
